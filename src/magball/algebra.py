@@ -4,7 +4,7 @@ Groups are products of cyclic groups ``Z_m1 x ... x Z_mr`` with elements kept
 reduced at all times.  Fields ``F_{p^m}`` are realised as ``F_p[x]/(f)`` for a
 monic primitive ``f``, so the residue class of ``x`` generates the
 multiplicative group and discrete logarithms come from one full table build.
-All types are immutable and safe to share between workers.
+All types are immutable.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 from functools import partial
@@ -37,14 +36,14 @@ from .constructions import (
     search_bt_set,
     search_kfold_sidon,
 )
-from .errors import DomainError, MagballError, OracleDisagreement, ResourceLimitError
+from .errors import DomainError, MagballError, OracleDisagreement
 from .lattice import (
     LatticeBasis,
     kernel_lattice,
     verify_covering_geometric,
     verify_packing_geometric,
 )
-from .limits import Limits, get_limits, set_limits
+from .limits import get_limits, parse_limits, set_limits
 from .splitting import (
     SplitterSet,
     check_complete_split,
@@ -73,6 +72,13 @@ def _density_record(ball: BallSpec, group_order: int, num: int, den: int) -> dic
     }
 
 
+def _splitter_density(splitter: SplitterSet) -> dict:
+    ball = splitter.ball()
+    return _density_record(
+        ball, splitter.group.order, ball_size(ball), kernel_lattice(splitter).volume
+    )
+
+
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -90,13 +96,6 @@ def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
     family = args.family
     out: dict[str, str] = {}
     params: dict = {"family": family}
-
-    def splitter_density(splitter: SplitterSet) -> dict:
-        basis = kernel_lattice(splitter)
-        ball = splitter.ball()
-        return _density_record(
-            ball, splitter.group.order, ball_size(ball), basis.volume
-        )
 
     if family == "bch-lattice":
         params.update(p=args.p, m=args.m, d=args.d, kplus=args.kplus, kminus=args.kminus)
@@ -121,7 +120,7 @@ def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
             bt = bose_chowla_s1(args.q, args.t)
         splitter = bt_shift_to_splitter(bt)
         out["splitter"] = _dump(splitter.to_json())
-        out["density"] = _dump(splitter_density(splitter))
+        out["density"] = _dump(_splitter_density(splitter))
     elif family == "bose-chowla-11":
         params.update(q=args.q, t=args.t, variant=args.variant)
         bt = (
@@ -131,7 +130,7 @@ def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
         )
         splitter = bt_pm1_splitter(bt, args.t)
         out["splitter"] = _dump(splitter.to_json())
-        out["density"] = _dump(splitter_density(splitter))
+        out["density"] = _dump(_splitter_density(splitter))
     elif family == "sidon-2fold":
         params.update(
             N=args.N, k=args.k, kplus=args.kplus, kminus=args.kminus,
@@ -146,26 +145,25 @@ def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
             )
         splitter = kfold_sidon_splitter(sidon, args.kplus, args.kminus)
         out["splitter"] = _dump(splitter.to_json())
-        out["density"] = _dump(splitter_density(splitter))
+        out["density"] = _dump(_splitter_density(splitter))
     elif family == "behrend-ruzsa":
         params.update(kplus=args.kplus, kminus=args.kminus, D=args.D, K=args.K, p=args.p)
         splitter = behrend_ruzsa_splitter(args.kplus, args.kminus, args.D, args.K, args.p)
         out["splitter"] = _dump(splitter.to_json())
-        out["density"] = _dump(splitter_density(splitter))
+        out["density"] = _dump(_splitter_density(splitter))
     elif family == "covering-product":
         params.update(p=args.p, m=args.m, t=args.t, kplus=args.kplus, kminus=args.kminus)
         base = covering_base_split(args.p, args.m, args.kplus, args.kminus)
         splitter = product_splitter(base, args.t)
         out["splitter"] = _dump(splitter.to_json())
-        out["density"] = _dump(splitter_density(splitter))
+        out["density"] = _dump(_splitter_density(splitter))
     elif family == "lambda-random":
         params.update(
             N=args.N, t=args.t, kplus=args.kplus, kminus=args.kminus,
             epsilon=args.epsilon, seed=args.seed,
         )
         sample = sample_lambda_splitter(
-            args.N, args.t, args.kplus, args.kminus, args.epsilon, args.seed,
-            jobs=args.jobs,
+            args.N, args.t, args.kplus, args.kminus, args.epsilon, args.seed
         )
         out["splitter"] = _dump(sample.splitter.to_json())
         out["report"] = _dump(
@@ -177,7 +175,7 @@ def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
                 "histogram": {str(k): v for k, v in sorted(sample.report.histogram.items())},
             }
         )
-        out["density"] = _dump(splitter_density(sample.splitter))
+        out["density"] = _dump(_splitter_density(sample.splitter))
     else:
         raise DomainError(f"unknown family {family!r}")
     return out, params
@@ -222,61 +220,57 @@ def _ball_from_args(args, splitter: SplitterSet | None) -> BallSpec:
 
 
 def cmd_verify(args) -> int:
+    if bool(args.splitter) == bool(args.lattice):
+        # A splitter is checked against its own kernel lattice; another
+        # lattice would be an unrelated object with no disagreement check.
+        raise DomainError("pass --splitter or --lattice, not both")
     splitter = None
     basis = None
     if args.splitter:
         splitter = SplitterSet.from_json(_load_json(args.splitter))
-    if args.lattice:
+    else:
         basis = LatticeBasis.from_json(_load_json(args.lattice))
-    if splitter is None and basis is None:
-        raise DomainError("pass --splitter and/or --lattice")
     ball = _ball_from_args(args, splitter)
     report: dict = {"kind": args.kind, "ball": ball.to_json()}
 
     if args.kind == "lambda":
         if splitter is None:
             raise DomainError("lambda verification needs a splitter set")
-        split = multiplicity_histogram(splitter, jobs=args.jobs)
+        split = multiplicity_histogram(splitter)
         report["splitting"] = split.to_json()
         print(_dump(report), end="")
         return 0
 
     split_ok = None
-    geo_ok = None
-    derived = splitter is not None and basis is None
     if splitter is not None:
         checker = check_partial_split if args.kind == "packing" else check_complete_split
-        split = checker(splitter, jobs=args.jobs)
+        split = checker(splitter)
         report["splitting"] = split.to_json()
         split_ok = split.verified
-        if basis is None:
-            basis = kernel_lattice(splitter)
-    if basis is not None:
-        geo = (
-            verify_packing_geometric(basis, ball)
-            if args.kind == "packing"
-            else verify_covering_geometric(basis, ball)
-        )
-        report["geometric"] = geo.to_json()
-        report["volume"] = str(basis.volume)
-        geo_ok = geo.verified
-        if splitter is not None and args.kind == "covering":
-            # A complete split needs the splitter image to be the whole group,
-            # which the coset side sees as volume == |G|.
-            geo_ok = geo_ok and basis.volume == splitter.group.order
+        basis = kernel_lattice(splitter)
+    geo = (
+        verify_packing_geometric(basis, ball)
+        if args.kind == "packing"
+        else verify_covering_geometric(basis, ball)
+    )
+    report["geometric"] = geo.to_json()
+    report["volume"] = str(basis.volume)
+    geo_ok = geo.verified
+    if splitter is not None and args.kind == "covering":
+        # A complete split needs the splitter image to be the whole group,
+        # which the coset side sees as volume == |G|.
+        geo_ok = geo_ok and basis.volume == splitter.group.order
 
-    if derived and split_ok is not None and geo_ok is not None and split_ok != geo_ok:
+    if split_ok is not None and split_ok != geo_ok:
         # The two routes examined the same object; disagreeing is a bug signal.
         report["verdict"] = "disagreement"
         print(_dump(report), end="")
         raise OracleDisagreement(
             f"splitting checker says {split_ok}, geometric oracle says {geo_ok}"
         )
-    verdicts = [v for v in (split_ok, geo_ok) if v is not None]
-    verdict = all(verdicts)
-    report["verdict"] = "verified" if verdict else "refuted"
+    report["verdict"] = "verified" if geo_ok else "refuted"
     print(_dump(report), end="")
-    return 0 if verdict else 1
+    return 0 if geo_ok else 1
 
 
 def cmd_density(args) -> int:
@@ -359,95 +353,56 @@ _TABLE_COLUMNS = [
 ]
 
 
-def _table_rows(jobs: int) -> list[dict]:
-    rows = []
+def _table_row(family: str, kind: str, density: dict, verdict: str) -> dict:
+    row = {"family": family, "type": kind, **density, **density["ball"], "verdict": verdict}
+    del row["ball"]
+    return row
 
-    def add_split_row(family: str, kind: str, splitter: SplitterSet) -> None:
-        basis = kernel_lattice(splitter)
-        num, den = ball_size(splitter.ball()), basis.volume
+
+def _table_rows() -> list[dict]:
+    def split_row(family: str, kind: str, splitter: SplitterSet) -> dict:
         checker = check_partial_split if kind == "packing" else check_complete_split
-        verdict = checker(splitter, jobs=jobs).verdict
-        rows.append(
-            {
-                "family": family,
-                "type": kind,
-                "t": splitter.t,
-                "kplus": splitter.magnitudes.kplus,
-                "kminus": splitter.magnitudes.kminus,
-                "n": splitter.n,
-                "group_order": splitter.group.order,
-                "density_num": num,
-                "density_den": den,
-                "density_decimal": f"{num / den:.6f}",
-                "verdict": verdict,
-            }
-        )
+        return _table_row(family, kind, _splitter_density(splitter), checker(splitter).verdict)
 
     code = bch_code(3, 2, 5)
     basis = code_lattice(code, 1, 1)
     ball = BallSpec(code.n, 2, 1, 1)
-    num, den = ball_size(ball), basis.volume
-    rows.append(
-        {
-            "family": "bch-lattice",
-            "type": "packing",
-            "t": 2,
-            "kplus": 1,
-            "kminus": 1,
-            "n": code.n,
-            "group_order": basis.volume,
-            "density_num": num,
-            "density_den": den,
-            "density_decimal": f"{num / den:.6f}",
-            "verdict": verify_packing_geometric(basis, ball).verdict,
-        }
-    )
-    add_split_row("bose-chowla-10", "packing", bt_shift_to_splitter(bose_chowla_s1(4, 2)))
-    add_split_row("bose-chowla-11", "packing", bt_pm1_splitter(bose_chowla_s1(3, 2), 2))
+    bch_density = _density_record(ball, basis.volume, ball_size(ball), basis.volume)
     sidon, _ = search_kfold_sidon(31, 2, 4)
-    add_split_row("sidon-2fold", "packing", kfold_sidon_splitter(sidon, 2, 0))
-    add_split_row("behrend-ruzsa", "packing", behrend_ruzsa_splitter(1, 0, 2, 1, 17))
     cover = product_splitter(covering_base_split(2, 2, 1, 0), 2)
-    add_split_row("covering-product", "covering", cover)
     baseline = hamming_covering_baseline(cover.n, cover.t, 1, 0, 4)
-    rows.append(
-        {
-            "family": "covering-baseline",
-            "type": "covering",
-            "t": cover.t,
-            "kplus": 1,
-            "kminus": 0,
-            "n": cover.n,
-            "group_order": 4**cover.n,
-            "density_num": baseline.numerator,
-            "density_den": baseline.denominator,
-            "density_decimal": f"{baseline.numerator / baseline.denominator:.6f}",
-            "verdict": "size-bound",
-        }
-    )
-    sample = sample_lambda_splitter(53, 2, 1, 0, 0.25, seed=1, jobs=jobs)
-    num = ball_size(sample.splitter.ball())
-    den = kernel_lattice(sample.splitter).volume
-    rows.append(
-        {
-            "family": "lambda-random",
-            "type": "lambda-packing",
-            "t": 2,
-            "kplus": 1,
-            "kminus": 0,
-            "n": sample.splitter.n,
-            "group_order": 53,
-            "density_num": num,
-            "density_den": den,
-            "density_decimal": f"{num / den:.6f}",
-            "verdict": f"lambda={sample.lambda_}",
-        }
-    )
-    return rows
+    sample = sample_lambda_splitter(53, 2, 1, 0, 0.25, seed=1)
+    return [
+        _table_row(
+            "bch-lattice", "packing", bch_density, verify_packing_geometric(basis, ball).verdict
+        ),
+        split_row("bose-chowla-10", "packing", bt_shift_to_splitter(bose_chowla_s1(4, 2))),
+        split_row("bose-chowla-11", "packing", bt_pm1_splitter(bose_chowla_s1(3, 2), 2)),
+        split_row("sidon-2fold", "packing", kfold_sidon_splitter(sidon, 2, 0)),
+        split_row("behrend-ruzsa", "packing", behrend_ruzsa_splitter(1, 0, 2, 1, 17)),
+        split_row("covering-product", "covering", cover),
+        _table_row(
+            "covering-baseline",
+            "covering",
+            _density_record(
+                BallSpec(cover.n, cover.t, 1, 0),
+                4**cover.n,
+                baseline.numerator,
+                baseline.denominator,
+            ),
+            "size-bound",
+        ),
+        _table_row(
+            "lambda-random",
+            "lambda-packing",
+            _splitter_density(sample.splitter),
+            f"lambda={sample.lambda_}",
+        ),
+    ]
 
 
 def cmd_table(args) -> int:
-    rows = _table_rows(args.jobs)
+    rows = _table_rows()
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_TABLE_COLUMNS, quoting=csv.QUOTE_MINIMAL)
     writer.writeheader()
@@ -534,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--target-size", type=int, default=3)
     con.add_argument("--epsilon", type=float, default=0.25)
     con.add_argument("--seed", type=int, default=1)
-    con.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     con.add_argument("--out-dir", default=".")
     con.add_argument("--prefix")
     con.set_defaults(func=cmd_construct)
@@ -548,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--t", type=int, default=1)
     ver.add_argument("--kplus", type=int, default=1)
     ver.add_argument("--kminus", type=int, default=0)
-    ver.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     ver.set_defaults(func=cmd_verify)
 
     den = sub.add_parser("density", help="exact density of a construction")
@@ -569,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tab = sub.add_parser("table", help="desk-scale summary of every family")
     tab.add_argument("--out")
-    tab.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     tab.set_defaults(func=cmd_table)
 
     sea = sub.add_parser("search", help="exhaustive B_t / k-fold Sidon search")
@@ -586,21 +538,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.limits:
-        try:
-            overrides = json.loads(args.limits)
-            set_limits(Limits(**{**get_limits().__dict__, **overrides}))
-        except (json.JSONDecodeError, TypeError) as exc:
-            print(f"error: bad --limits value: {exc}", file=sys.stderr)
-            return 2
     try:
+        if args.limits:
+            set_limits(parse_limits(args.limits, "--limits", get_limits()))
         return args.func(args)
     except OracleDisagreement as exc:
         print(f"error: oracle disagreement: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MagballError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -682,7 +682,7 @@ class LambdaSample:
 
 def _include(N: int, seed: int, i: int, prob: float) -> bool:
     # Counter-based draw keyed by (modulus, seed, index): stable across
-    # platforms and shardable by index.
+    # platforms, and no residue's draw depends on another's.
     digest = hashlib.sha256(f"{N}:{seed}:{i}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64 < prob
 
@@ -694,7 +694,6 @@ def sample_lambda_splitter(
     kminus: int,
     epsilon: float,
     seed: int,
-    jobs: int = 1,
 ) -> LambdaSample:
     """Sample each residue of Z_N independently with probability
     N^(1/t - 1 - epsilon) and measure the resulting list size lambda."""
@@ -715,7 +714,7 @@ def sample_lambda_splitter(
         MagnitudeSet(kplus, kminus),
         t,
     )
-    report = multiplicity_histogram(splitter, jobs=jobs)
+    report = multiplicity_histogram(splitter)
     expected = N ** (1 / t - epsilon)
     in_range = expected / 2 <= len(members) <= 1.5 * expected
     assert report.lambda_ is not None

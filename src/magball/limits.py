@@ -3,7 +3,7 @@
 Every exhaustive routine checks its workload against these bounds and raises
 :class:`~magball.errors.ResourceLimitError` instead of silently degrading to a
 partial answer.  Defaults can be overridden by the ``MAGBALL_LIMITS``
-environment variable (a JSON object mapping field names to integers) or
+environment variable (a JSON object mapping field names to positive integers) or
 programmatically via :func:`set_limits`.
 """
 
@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 
 ENV_VAR = "MAGBALL_LIMITS"
 
@@ -29,19 +29,30 @@ class Limits:
     syndrome_table: int = 10**6
 
 
-def _from_env() -> Limits:
-    raw = os.environ.get(ENV_VAR)
-    if not raw:
-        return Limits()
+def parse_limits(raw: str, source: str, base: Limits) -> Limits:
+    """``base`` with the overrides of the JSON object ``raw`` applied.
+
+    Keys must be :class:`Limits` fields and values positive integers; anything
+    else raises :class:`~magball.errors.DomainError` naming ``source``.
+    """
     try:
         overrides = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ResourceLimitError(f"cannot parse {ENV_VAR}: {exc}") from exc
-    known = {f.name for f in fields(Limits)}
-    bad = set(overrides) - known
-    if bad:
-        raise ResourceLimitError(f"unknown {ENV_VAR} keys: {sorted(bad)}")
-    return replace(Limits(), **{k: int(v) for k, v in overrides.items()})
+        raise DomainError(f"cannot parse {source}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise DomainError(f"{source} must be a JSON object, got {overrides!r}")
+    unknown = set(overrides) - {f.name for f in fields(Limits)}
+    if unknown:
+        raise DomainError(f"unknown {source} keys: {sorted(unknown)}")
+    for key, value in overrides.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise DomainError(f"{source} {key} must be a positive integer, got {value!r}")
+    return replace(base, **overrides)
+
+
+def _from_env() -> Limits:
+    raw = os.environ.get(ENV_VAR)
+    return parse_limits(raw, ENV_VAR, Limits()) if raw else Limits()
 
 
 _current: Limits | None = None

@@ -15,30 +15,21 @@ A splitter set pairs group elements ``s_1..s_n`` with a magnitude interval
 
 Enumeration order is fixed (weight-major, then support lexicographic, then
 per-position values in ascending order), and the reported witness is always
-the first offending event in that order, independent of the worker count.
+the first offending event in that order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import GroupElement, GroupSpec
 from .ball import BallSpec
 from .errors import DomainError
 from .limits import check
-
-# Compact vector encoding used inside scans: (support, values).
-_Packed = tuple[tuple[int, ...], tuple[int, ...]]
-# A scan event: (global index, kind, packed vector, other packed vector).
-_Event = tuple[int, str, _Packed, _Packed | None]
-
-# Scans below this many vectors stay sequential: pool startup would dominate.
-PARALLEL_THRESHOLD = 4096
 
 
 @dataclass(frozen=True)
@@ -173,120 +164,48 @@ def phi(splitter: SplitterSet, e: Sequence[int]) -> GroupElement:
     return GroupElement(splitter.group, tuple(x % m for x, m in zip(total, moduli)))
 
 
-def _unpack(packed: _Packed, n: int) -> tuple[int, ...]:
+def _unpack(support: tuple[int, ...], vals: tuple[int, ...], n: int) -> tuple[int, ...]:
     vec = [0] * n
-    support, vals = packed
     for pos, v in zip(support, vals):
         vec[pos] = v
     return tuple(vec)
 
 
-def _supports_with_bases(n: int, t: int, mcount: int) -> list[tuple[tuple[int, ...], int]]:
-    """Nonzero supports in enumeration order with their global base indices."""
-    out: list[tuple[tuple[int, ...], int]] = []
-    base = 0
-    for w in range(1, t + 1):
-        block = mcount**w
-        for support in combinations(range(n), w):
-            out.append((support, base))
-            base += block
-    return out
-
-
-def _scan_chunk(
-    moduli: tuple[int, ...],
-    selems: tuple[tuple[int, ...], ...],
-    mvals: tuple[int, ...],
-    chunk: Sequence[tuple[tuple[int, ...], int]],
-    collect_counts: bool,
-) -> tuple[dict[tuple[int, ...], tuple[int, _Packed]], _Event | None, Counter | None]:
-    """Scan the coefficient vectors of the given supports.
-
-    Returns the first occurrence per nonidentity image, the earliest offending
-    event inside the chunk, and (optionally) full representation counts.
-    Identity images are recorded only as zero events; any later collision
-    involving them is dominated by the earlier zero event, so the global
-    minimum over events still matches a sequential scan exactly.
-    """
-    rank = len(moduli)
-    identity = (0,) * rank
-    first: dict[tuple[int, ...], tuple[int, _Packed]] = {}
-    best: _Event | None = None
-    counts: Counter | None = Counter() if collect_counts else None
-    for support, base in chunk:
-        rows = [selems[pos] for pos in support]
-        for offset, vals in enumerate(product(mvals, repeat=len(support))):
-            total = [0] * rank
-            for c, row in zip(vals, rows):
-                for j in range(rank):
-                    total[j] += c * row[j]
-            img = tuple(x % m for x, m in zip(total, moduli))
-            if counts is not None:
-                counts[img] += 1
-            idx = base + offset
-            packed = (support, vals)
-            if img == identity:
-                if best is None or idx < best[0]:
-                    best = (idx, "zero", packed, None)
-            else:
-                prev = first.get(img)
-                if prev is None:
-                    first[img] = (idx, packed)
-                elif best is None or idx < best[0]:
-                    best = (idx, "collision", prev[1], packed)
-    return first, best, counts
-
-
-def _round_robin(
-    items: Sequence[tuple[tuple[int, ...], int]], jobs: int
-) -> list[list[tuple[tuple[int, ...], int]]]:
-    chunks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(jobs)]
-    for i, item in enumerate(items):
-        chunks[i % jobs].append(item)
-    return [c for c in chunks if c]
-
-
-def _merged_scan(
-    splitter: SplitterSet, jobs: int, collect_counts: bool
-) -> tuple[dict[tuple[int, ...], tuple[int, _Packed]], _Event | None, Counter | None]:
-    """Run the scan on 1..jobs workers; the result is worker-count independent."""
+def _images(
+    splitter: SplitterSet,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """``(support, values, image)`` of every weight-1..t vector, in enumeration order."""
     moduli = splitter.group.moduli
-    selems = tuple(s.residues for s in splitter.elements)
+    rank = len(moduli)
+    rows = [s.residues for s in splitter.elements]
     mvals = splitter.magnitudes.values()
-    supports = _supports_with_bases(splitter.n, splitter.t, len(mvals))
-    workload = supports[-1][1] + len(mvals) ** len(supports[-1][0])
-    # Sharding never changes the result, so small scans skip the pool cost.
-    if jobs <= 1 or len(supports) <= 1 or workload < PARALLEL_THRESHOLD:
-        return _scan_chunk(moduli, selems, mvals, supports, collect_counts)
+    for w in range(1, splitter.t + 1):
+        for support in combinations(range(splitter.n), w):
+            srows = [rows[pos] for pos in support]
+            for vals in product(mvals, repeat=w):
+                total = [0] * rank
+                for c, row in zip(vals, srows):
+                    for j in range(rank):
+                        total[j] += c * row[j]
+                yield support, vals, tuple(x % m for x, m in zip(total, moduli))
 
-    chunks = _round_robin(supports, jobs)
-    results = []
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [
-            pool.submit(_scan_chunk, moduli, selems, mvals, chunk, collect_counts)
-            for chunk in chunks
-        ]
-        results = [f.result() for f in futures]
 
-    best: _Event | None = None
-    merged_first: dict[tuple[int, ...], tuple[int, _Packed]] = {}
-    occurrences: dict[tuple[int, ...], list[tuple[int, _Packed]]] = {}
-    counts: Counter | None = Counter() if collect_counts else None
-    for first, event, chunk_counts in results:
-        if event is not None and (best is None or event[0] < best[0]):
-            best = event
-        for img, occ in first.items():
-            occurrences.setdefault(img, []).append(occ)
-        if counts is not None and chunk_counts is not None:
-            counts.update(chunk_counts)
-    for img, occs in occurrences.items():
-        occs.sort()
-        merged_first[img] = occs[0]
-        if len(occs) >= 2:
-            cand: _Event = (occs[1][0], "collision", occs[0][1], occs[1][1])
-            if best is None or cand[0] < best[0]:
-                best = cand
-    return merged_first, best, counts
+def _first_event(splitter: SplitterSet) -> SplitWitness | None:
+    """The first vector in enumeration order that maps to the identity or to an
+    image an earlier vector already reached; the scan stops there."""
+    n = splitter.n
+    identity = splitter.group.identity().residues
+    first: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for support, vals, img in _images(splitter):
+        if img == identity:
+            return SplitWitness(kind="zero", e=_unpack(support, vals, n))
+        prev = first.get(img)
+        if prev is not None:
+            return SplitWitness(
+                kind="collision", e=_unpack(*prev, n), e_other=_unpack(support, vals, n)
+            )
+        first[img] = (support, vals)
+    return None
 
 
 def _workload(splitter: SplitterSet) -> int:
@@ -294,22 +213,19 @@ def _workload(splitter: SplitterSet) -> int:
     return sum(comb(n, w) * msize**w for w in range(1, t + 1))
 
 
-def check_partial_split(splitter: SplitterSet, jobs: int = 1) -> SplitReport:
+def check_partial_split(splitter: SplitterSet) -> SplitReport:
     """Verify that all weight-1..t images are pairwise distinct and nonzero."""
     check("enumeration", _workload(splitter))
-    _, event, _ = _merged_scan(splitter, jobs, collect_counts=False)
-    if event is None:
-        return SplitReport("verified")
-    return SplitReport("refuted", witness=_event_witness(event, splitter.n))
+    witness = _first_event(splitter)
+    return SplitReport("verified" if witness is None else "refuted", witness=witness)
 
 
-def check_complete_split(splitter: SplitterSet, jobs: int = 1) -> SplitReport:
+def check_complete_split(splitter: SplitterSet) -> SplitReport:
     """Verify that every group element is an image of some weight-<=t vector."""
     check("enumeration", _workload(splitter))
     check("group_order", splitter.group.order)
-    first, _, _ = _merged_scan(splitter, jobs, collect_counts=False)
-    reachable = set(first)
-    reachable.add((0,) * splitter.group.rank)  # the zero vector
+    reachable = {img for _, _, img in _images(splitter)}
+    reachable.add(splitter.group.identity().residues)  # the zero vector
     if len(reachable) == splitter.group.order:
         return SplitReport("verified")
     for g in splitter.group.elements():
@@ -320,35 +236,25 @@ def check_complete_split(splitter: SplitterSet, jobs: int = 1) -> SplitReport:
     raise AssertionError("unreachable: count mismatch without a missing element")
 
 
-def multiplicity_histogram(splitter: SplitterSet, jobs: int = 1) -> SplitReport:
+def multiplicity_histogram(splitter: SplitterSet) -> SplitReport:
     """Representation counts per group element and their maximum ``lambda``.
 
     The empty combination counts as one representation of the identity, so a
-    verified partial split is exactly the ``lambda == 1`` case.
+    verified partial split is exactly the ``lambda == 1`` case, and the witness
+    of a refuted one is that of :func:`check_partial_split`.
     """
     check("enumeration", _workload(splitter))
-    _, event, counts = _merged_scan(splitter, jobs, collect_counts=True)
-    assert counts is not None
-    counts[(0,) * splitter.group.rank] += 1  # the zero vector
+    counts = Counter(img for _, _, img in _images(splitter))
+    counts[splitter.group.identity().residues] += 1  # the zero vector
     lam = max(counts.values())
     histogram = Counter(counts.values())
     histogram[0] += splitter.group.order - len(counts)
     if histogram[0] == 0:
         del histogram[0]
-    witness = None if event is None else _event_witness(event, splitter.n)
+    witness = None if lam == 1 else _first_event(splitter)
     return SplitReport(
-        "verified" if event is None else "refuted",
+        "verified" if witness is None else "refuted",
         witness=witness,
         lambda_=lam,
         histogram=dict(histogram),
-    )
-
-
-def _event_witness(event: _Event, n: int) -> SplitWitness:
-    _, kind, packed, packed_other = event
-    if kind == "zero":
-        return SplitWitness(kind="zero", e=_unpack(packed, n))
-    assert packed_other is not None
-    return SplitWitness(
-        kind="collision", e=_unpack(packed, n), e_other=_unpack(packed_other, n)
     )

@@ -301,13 +301,11 @@ def test_criterion_10_lambda_sampler():
     started = time.perf_counter()
     summaries = []
     for N in (53, 101, 211):
-        first = sample_lambda_splitter(N, 2, 1, 0, 0.25, seed=1, jobs=1)
-        again = sample_lambda_splitter(N, 2, 1, 0, 0.25, seed=1, jobs=1)
-        sharded = sample_lambda_splitter(N, 2, 1, 0, 0.25, seed=1, jobs=2)
+        first = sample_lambda_splitter(N, 2, 1, 0, 0.25, seed=1)
+        again = sample_lambda_splitter(N, 2, 1, 0, 0.25, seed=1)
         blob = json.dumps(first.report.to_json(), sort_keys=True)
         assert blob == json.dumps(again.report.to_json(), sort_keys=True)
-        assert blob == json.dumps(sharded.report.to_json(), sort_keys=True)
-        assert first.splitter == again.splitter == sharded.splitter
+        assert first.splitter == again.splitter
         assert first.lambda_ == max(
             m for m, cnt in first.report.histogram.items() if cnt > 0
         )

@@ -102,16 +102,16 @@ class TestConstructVerifyIntegration:
         for name in ("x.splitter.json", "x.density.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_lambda_random_independent_of_jobs(self, tmp_path):
-        for sub, jobs in (("j1", "1"), ("j2", "2")):
+    def test_lambda_random_rerun_is_byte_identical(self, tmp_path):
+        for sub in ("a", "b"):
             (tmp_path / sub).mkdir()
             main(
                 ["construct", "--family", "lambda-random", "--N", "53", "--t", "2",
                  "--kplus", "1", "--kminus", "0", "--epsilon", "0.25", "--seed", "1",
-                 "--jobs", jobs, "--out-dir", str(tmp_path / sub), "--prefix", "s"]
+                 "--out-dir", str(tmp_path / sub), "--prefix", "s"]
             )
         for name in ("s.splitter.json", "s.report.json", "s.density.json"):
-            assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestExitCodes:
@@ -151,6 +151,52 @@ class TestExitCodes:
 
     def test_bad_limits_is_exit_2(self):
         assert main(["--limits", "{oops", "table"]) == 2
+
+    @pytest.mark.parametrize(
+        "limits",
+        ['{"enumeration": "x"}', '{"enumeration": -5}', '{"enumeration": true}',
+         '{"nonsense": 5}', "[1]"],
+    )
+    def test_malformed_limits_are_exit_2(self, limits, capsys):
+        assert main(["--limits", limits, "table"]) == 2
+        assert "--limits" in capsys.readouterr().err
+
+    def test_malformed_env_limits_is_exit_2(self, tmp_path, monkeypatch):
+        main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+              "--out-dir", str(tmp_path), "--prefix", "bc"])
+        monkeypatch.setenv("MAGBALL_LIMITS", '{"enumeration": "x"}')
+        proc = run_cli(
+            ["verify", "--kind", "packing", "--splitter", str(tmp_path / "bc.splitter.json")],
+            cwd=str(tmp_path),
+        )
+        assert proc.returncode == 2
+        assert "MAGBALL_LIMITS" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_limits_override_applies(self, tmp_path):
+        main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+              "--out-dir", str(tmp_path), "--prefix", "bc"])
+        proc = run_cli(
+            ["--limits", '{"enumeration": 3}', "verify", "--kind", "packing",
+             "--splitter", str(tmp_path / "bc.splitter.json")],
+            cwd=str(tmp_path),
+        )
+        assert proc.returncode == 2
+        assert "exceeds limit 3" in proc.stderr
+
+    def test_splitter_with_lattice_is_exit_2(self, tmp_path, capsys):
+        main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+              "--out-dir", str(tmp_path), "--prefix", "bc"])
+        main(["construct", "--family", "bch-lattice", "--p", "3", "--m", "2", "--d", "5",
+              "--kplus", "1", "--kminus", "1", "--out-dir", str(tmp_path), "--prefix", "bch"])
+        capsys.readouterr()
+        rc = main(
+            ["verify", "--kind", "packing", "--splitter", str(tmp_path / "bc.splitter.json"),
+             "--lattice", str(tmp_path / "bch.lattice.json")]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "not both" in captured.err and captured.out == ""
 
 
 class TestDecodeCli:

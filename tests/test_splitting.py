@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from magball import (
     SplitterSet,
     check_complete_split,
     check_partial_split,
+    enumerate_ball,
     multiplicity_histogram,
     phi,
 )
@@ -125,24 +127,25 @@ class TestMultiplicity:
             assert sum(report.histogram.values()) == s.group.order
 
 
-class TestInvariants:
-    def _random_splitter(self, rng):
-        moduli = tuple(rng.randint(2, 15) for _ in range(rng.randint(1, 2)))
-        g = GroupSpec(moduli)
-        n = rng.randint(1, 4)
-        pool = [tuple(rng.randrange(m) for m in moduli) for _ in range(3 * n)]
-        distinct = list(dict.fromkeys(pool))[:n]
-        if not distinct:
-            distinct = [tuple(0 for _ in moduli)]
-        kplus = rng.randint(1, 2)
-        kminus = rng.randint(0, kplus)
-        t = rng.randint(1, min(2, len(distinct)))
-        return _splitter(moduli, distinct, kplus, kminus, t)
+def _random_splitter(rng):
+    moduli = tuple(rng.randint(2, 15) for _ in range(rng.randint(1, 2)))
+    g = GroupSpec(moduli)
+    n = rng.randint(1, 4)
+    pool = [tuple(rng.randrange(m) for m in moduli) for _ in range(3 * n)]
+    distinct = list(dict.fromkeys(pool))[:n]
+    if not distinct:
+        distinct = [tuple(0 for _ in moduli)]
+    kplus = rng.randint(1, 2)
+    kminus = rng.randint(0, kplus)
+    t = rng.randint(1, min(2, len(distinct)))
+    return _splitter(moduli, distinct, kplus, kminus, t)
 
+
+class TestInvariants:
     def test_partial_iff_lambda_one_on_random_instances(self):
         rng = random.Random(2024)
         for _ in range(120):
-            s = self._random_splitter(rng)
+            s = _random_splitter(rng)
             partial = check_partial_split(s)
             hist = multiplicity_histogram(s)
             oracle_partial, _, oracle_lambda, _ = _oracle(s)
@@ -153,7 +156,7 @@ class TestInvariants:
     def test_complete_matches_oracle_on_random_instances(self):
         rng = random.Random(7)
         for _ in range(80):
-            s = self._random_splitter(rng)
+            s = _random_splitter(rng)
             _, oracle_complete, _, _ = _oracle(s)
             assert check_complete_split(s).verified == oracle_complete
 
@@ -166,7 +169,7 @@ class TestInvariants:
     def test_verdict_invariant_under_permutation(self):
         rng = random.Random(99)
         for _ in range(30):
-            s = self._random_splitter(rng)
+            s = _random_splitter(rng)
             perm = list(s.elements)
             rng.shuffle(perm)
             permuted = SplitterSet(s.group, tuple(perm), s.magnitudes, s.t)
@@ -176,7 +179,7 @@ class TestInvariants:
         rng = random.Random(5)
         found = 0
         while found < 20:
-            s = self._random_splitter(rng)
+            s = _random_splitter(rng)
             if s.magnitudes.kplus != s.magnitudes.kminus:
                 continue
             try:
@@ -195,29 +198,72 @@ class TestInvariants:
             assert check_partial_split(s).verified == check_partial_split(negated).verified
 
 
-class TestSharding:
-    def test_reports_identical_across_job_counts(self, monkeypatch):
-        import magball.splitting as splitting_mod
+def _reference_scan(splitter):
+    """Walk ``enumerate_ball`` in order with ``phi``.
 
-        # Force the pool path even on small witness-rich instances.
-        monkeypatch.setattr(splitting_mod, "PARALLEL_THRESHOLD", 0)
+    Returns the partial-split witness as JSON (the first nonzero vector whose
+    image is the identity or an image an earlier vector reached), lambda, the
+    histogram and the set of reachable images.
+    """
+    identity = splitter.group.identity().residues
+    first = {}
+    counts = Counter()
+    witness = None
+    for e in enumerate_ball(splitter.ball()):
+        img = phi(splitter, e).residues
+        counts[img] += 1
+        if witness is None and any(e):
+            if img == identity:
+                witness = {"kind": "zero", "e": list(e)}
+            elif img in first:
+                witness = {"kind": "collision", "e": list(first[img]), "e_other": list(e)}
+        first.setdefault(img, e)
+    histogram = Counter(counts.values())
+    if len(counts) < splitter.group.order:
+        histogram[0] = splitter.group.order - len(counts)
+    return witness, max(counts.values()), dict(histogram), set(counts)
+
+
+def _assert_single_path(s):
+    """Reruns agree byte for byte, and each report matches the ordered reference."""
+    partial = check_partial_split(s).to_json()
+    complete = check_complete_split(s).to_json()
+    hist = multiplicity_histogram(s).to_json()
+    assert check_partial_split(s).to_json() == partial
+    assert check_complete_split(s).to_json() == complete
+    assert multiplicity_histogram(s).to_json() == hist
+
+    witness, lam, histogram, reachable = _reference_scan(s)
+    verdict = "verified" if witness is None else "refuted"
+    assert partial == {"verdict": verdict, "witness": witness, "lambda": None, "histogram": None}
+    assert hist == {
+        "verdict": verdict,
+        "witness": witness,
+        "lambda": lam,
+        "histogram": {str(k): v for k, v in sorted(histogram.items())},
+    }
+    missing = [g.residues for g in s.group.elements() if g.residues not in reachable]
+    if missing:
+        assert complete["witness"] == {"kind": "uncovered", "g": list(missing[0])}
+    else:
+        assert complete == {"verdict": "verified", "witness": None, "lambda": None, "histogram": None}
+
+
+class TestScanOrder:
+    def test_reports_identical_across_reruns(self):
         cases = [
             _splitter((8,), [(1,), (7,)], 1, 0, 2),
             _splitter((8,), [(1,), (3,)], 1, 0, 2),
             _splitter((8, 5), [(0, 1), (1, 1), (3, 1)], 1, 1, 2),
             _splitter((30,), [(1,), (4,), (9,), (11,)], 2, 1, 2),
+            # Collisions only: the first witness pairs two nonzero vectors.
+            _splitter((8,), [(1,), (2,), (3,)], 1, 0, 2),
         ]
         for s in cases:
-            base_partial = check_partial_split(s, jobs=1).to_json()
-            base_complete = check_complete_split(s, jobs=1).to_json()
-            base_hist = multiplicity_histogram(s, jobs=1).to_json()
-            for jobs in (2, 3):
-                assert check_partial_split(s, jobs=jobs).to_json() == base_partial
-                assert check_complete_split(s, jobs=jobs).to_json() == base_complete
-                assert multiplicity_histogram(s, jobs=jobs).to_json() == base_hist
+            _assert_single_path(s)
 
-    def test_large_scan_crosses_the_pool_threshold(self):
-        # n = 14, t = 3, |M| = 3 gives 10689 vectors, above the threshold.
+    def test_large_scan_matches_the_ordered_reference(self):
+        # n = 14, t = 3, |M| = 3 gives 10689 nonzero vectors.
         g = GroupSpec((1009,))
         s = SplitterSet(
             g,
@@ -225,9 +271,12 @@ class TestSharding:
             MagnitudeSet(2, 1),
             3,
         )
-        sequential = multiplicity_histogram(s, jobs=1).to_json()
-        assert multiplicity_histogram(s, jobs=3).to_json() == sequential
-        assert check_partial_split(s, jobs=3).to_json() == check_partial_split(s, jobs=1).to_json()
+        _assert_single_path(s)
+
+    def test_first_witness_on_random_instances(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            _assert_single_path(_random_splitter(rng))
 
 
 class TestDegenerateGroups:
