@@ -43,7 +43,7 @@ from .lattice import (
     verify_covering_geometric,
     verify_packing_geometric,
 )
-from .limits import get_limits, parse_limits, set_limits
+from .limits import get_limits, limits_overridden, parse_limits, set_limits
 from .splitting import (
     SplitterSet,
     check_complete_split,
@@ -219,17 +219,19 @@ def _ball_from_args(args, splitter: SplitterSet | None) -> BallSpec:
     raise DomainError("a ball spec is required: pass --ball or --n/--t/--kplus/--kminus")
 
 
-def cmd_verify(args) -> int:
+def _load_artifact(args) -> tuple[SplitterSet | None, LatticeBasis | None]:
+    """The splitter set or the lattice named on the command line."""
     if bool(args.splitter) == bool(args.lattice):
-        # A splitter is checked against its own kernel lattice; another
-        # lattice would be an unrelated object with no disagreement check.
+        # A command derives the lattice of a splitter from the splitter, so a
+        # second lattice could only be ignored or checked as an unrelated object.
         raise DomainError("pass --splitter or --lattice, not both")
-    splitter = None
-    basis = None
     if args.splitter:
-        splitter = SplitterSet.from_json(_load_json(args.splitter))
-    else:
-        basis = LatticeBasis.from_json(_load_json(args.lattice))
+        return SplitterSet.from_json(_load_json(args.splitter)), None
+    return None, LatticeBasis.from_json(_load_json(args.lattice))
+
+
+def cmd_verify(args) -> int:
+    splitter, basis = _load_artifact(args)
     ball = _ball_from_args(args, splitter)
     report: dict = {"kind": args.kind, "ball": ball.to_json()}
 
@@ -274,20 +276,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.splitter:
-        splitter = SplitterSet.from_json(_load_json(args.splitter))
-        basis = kernel_lattice(splitter)
-        ball = _ball_from_args(args, splitter)
-        record = _density_record(
-            ball, splitter.group.order, ball_size(ball), basis.volume
-        )
-    elif args.lattice:
-        basis = LatticeBasis.from_json(_load_json(args.lattice))
-        ball = _ball_from_args(args, None)
-        record = _density_record(ball, basis.volume, ball_size(ball), basis.volume)
+    splitter, basis = _load_artifact(args)
+    ball = _ball_from_args(args, splitter)
+    if splitter is None:
+        order = basis.volume
     else:
-        raise DomainError("pass --splitter or --lattice")
-    print(_dump(record), end="")
+        basis, order = kernel_lattice(splitter), splitter.group.order
+    print(_dump(_density_record(ball, order, ball_size(ball), basis.volume)), end="")
     return 0
 
 
@@ -539,9 +534,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.limits:
-            set_limits(parse_limits(args.limits, "--limits", get_limits()))
-        return args.func(args)
+        with limits_overridden():  # --limits holds for this call only
+            if args.limits:
+                set_limits(parse_limits(args.limits, "--limits", get_limits()))
+            return args.func(args)
     except OracleDisagreement as exc:
         print(f"error: oracle disagreement: {exc}", file=sys.stderr)
         return 3

@@ -2,8 +2,8 @@
 
 Two schemes are implemented:
 
-* a syndrome-based decoder for mod-p code lattices (reduce, decode in the
-  Hamming metric, lift the error back to the signed integers);
+* a syndrome decoder for mod-p code lattices whose table holds one entry
+  per vector of the error ball, not one per coset;
 * the locator-polynomial decoder for the lattice of the size-(q+1) B_t set:
   the weighted power sum of the received vector is turned into
   ``r(x) = x^s mod p(x)`` over the subfield, whose roots ``-alpha_i`` name
@@ -16,10 +16,10 @@ keep flowing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
 from typing import Sequence
 
 from .algebra import FieldElement, FieldSpec, GroupSpec
+from .ball import BallSpec, ball_size
 from .constructions import LinearCode, S2Data
 from .errors import DomainError
 from .limits import check
@@ -290,42 +290,54 @@ def decode_s2(
 
 @dataclass(frozen=True)
 class SyndromeTable:
-    """Coset-leader table: every syndrome maps to its minimum-weight error."""
+    """Ball-image table: the syndrome of every vector of the ball
+    ``B(n, (d-1)//2, kplus, kminus)`` maps to that signed vector, stored as
+    its ``((position, value), ...)`` pairs in increasing position."""
 
-    code: LinearCode
-    leaders: dict[tuple[int, ...], tuple[int, ...]]
-
-    @property
-    def guaranteed_weight(self) -> int:
-        return (self.code.d - 1) // 2
+    leaders: dict[tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
-def build_syndrome_decoder(code: LinearCode) -> SyndromeTable:
-    """Tabulate coset leaders by increasing weight (supports lexicographic,
-    values ascending), so ties resolve deterministically."""
-    total = code.p ** (code.n - code.k)
-    check("syndrome_table", total)
-    leaders: dict[tuple[int, ...], tuple[int, ...]] = {}
-    zero = (0,) * code.n
-    leaders[code.syndrome(zero)] = zero
-    for w in range(1, code.n + 1):
-        if len(leaders) == total:
-            break
-        for support in combinations(range(code.n), w):
-            for vals in product(range(1, code.p), repeat=w):
-                vec = [0] * code.n
-                for pos, v in zip(support, vals):
-                    vec[pos] = v
-                syn = code.syndrome(vec)
-                if syn not in leaders:
-                    leaders[syn] = tuple(vec)
-                    if len(leaders) == total:
-                        break
-            if len(leaders) == total:
-                break
-    if len(leaders) != total:
-        raise DomainError("could not cover every syndrome")
-    return SyndromeTable(code, leaders)
+def build_syndrome_decoder(code: LinearCode, kplus: int, kminus: int) -> SyndromeTable:
+    """Tabulate the ball of radius (d-1)//2 by syndrome, in
+    :func:`~magball.ball.enumerate_ball` order.
+
+    The code lattice packs that ball, so its vectors lie in distinct cosets
+    and a repeated syndrome means the declared ``d`` is wrong.  Each weight
+    w+1 vector extends a weight-w one, so its syndrome is that vector's plus
+    one precomputed column contribution ``v * H[:, j] mod p``.
+    """
+    if kplus + kminus >= code.p:
+        raise DomainError("need kplus + kminus < p")
+    ball = BallSpec(code.n, (code.d - 1) // 2, kplus, kminus)
+    check("syndrome_table", ball_size(ball))
+    p, values = code.p, ball.nonzero_values()
+    columns = [
+        {v: tuple(v * h[j] % p for h in code.parity_check) for v in values}
+        for j in range(code.n)
+    ]
+    zero = (0,) * (code.n - code.k)
+    leaders: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {zero: ()}
+    # One group per support, in enumeration order: (last position, entries).
+    groups: list[tuple[int, list]] = [(-1, [((), zero)])]
+    for _ in range(ball.t):
+        grown = []
+        for last, entries in groups:
+            for j in range(last + 1, code.n):
+                group = []
+                for err, syn in entries:
+                    for v in values:
+                        e = err + ((j, v),)
+                        s = tuple((a + b) % p for a, b in zip(syn, columns[j][v]))
+                        first = leaders.setdefault(s, e)
+                        if first is not e:
+                            raise DomainError(
+                                f"ball vectors {dict(first)} and {dict(e)} share a syndrome: "
+                                f"the code's minimum distance is below the declared d = {code.d}"
+                            )
+                        group.append((e, s))
+                grown.append((j, group))
+        groups = grown
+    return SyndromeTable(leaders)
 
 
 @dataclass(frozen=True)
@@ -335,13 +347,9 @@ class ModPDecoderContext:
     kminus: int
     table: SyndromeTable
 
-    def __post_init__(self) -> None:
-        if self.kplus + self.kminus >= self.code.p:
-            raise DomainError("need kplus + kminus < p")
-
     @classmethod
     def build(cls, code: LinearCode, kplus: int, kminus: int) -> "ModPDecoderContext":
-        return cls(code, kplus, kminus, build_syndrome_decoder(code))
+        return cls(code, kplus, kminus, build_syndrome_decoder(code, kplus, kminus))
 
     def to_json(self) -> dict:
         return {
@@ -362,22 +370,23 @@ class ModPDecoderContext:
 class ModPDecodeResult:
     status: str  # "ok" | "fail"
     codeword: tuple[int, ...] | None
+    # Every table entry lies within the guaranteed radius, so this is true
+    # exactly when the status is "ok".
     guaranteed: bool = False
 
 
 def decode_mod_p(ctx: ModPDecoderContext, y: Sequence[int]) -> ModPDecodeResult:
-    """Reduce mod p, correct in the Hamming metric, and lift the error back:
-    residues above kplus wrap down by p."""
+    """Subtract the ball vector whose syndrome is that of ``y``; a syndrome
+    outside the ball's images is beyond the radius and fails."""
     code = ctx.code
     if len(y) != code.n:
         raise DomainError(f"received vector must have length {code.n}")
-    psi = tuple(v % code.p for v in y)
-    leader = ctx.table.leaders.get(code.syndrome(psi))
-    if leader is None:
+    err = ctx.table.leaders.get(code.syndrome(y))
+    if err is None:
         return ModPDecodeResult("fail", None)
-    guaranteed = sum(1 for x in leader if x) <= ctx.table.guaranteed_weight
-    lifted = [eps if eps <= ctx.kplus else eps - code.p for eps in leader]
-    corrected = tuple(v - e for v, e in zip(y, lifted))
-    if any(code.syndrome(tuple(c % code.p for c in corrected))):
-        return ModPDecodeResult("fail", None, guaranteed)
-    return ModPDecodeResult("ok", corrected, guaranteed)
+    corrected = list(y)
+    for pos, v in err:
+        corrected[pos] -= v
+    if any(code.syndrome(corrected)):
+        return ModPDecodeResult("fail", None)
+    return ModPDecodeResult("ok", tuple(corrected), True)

@@ -198,6 +198,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "not both" in captured.err and captured.out == ""
 
+    def test_limits_do_not_outlast_the_call(self, tmp_path, capsys):
+        main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+              "--out-dir", str(tmp_path), "--prefix", "bc"])
+        argv = ["verify", "--kind", "packing", "--splitter", str(tmp_path / "bc.splitter.json")]
+        assert main(["--limits", '{"enumeration": 5}', *argv]) == 2
+        assert "exceeds limit 5" in capsys.readouterr().err
+        assert main(argv) == 0
+
 
 class TestDecodeCli:
     def test_modp_batch(self, tmp_path, capsys):
@@ -280,6 +288,16 @@ class TestDensityCli:
         assert rc == 0
         record = json.loads(capsys.readouterr().out)
         assert (record["density_num"], record["density_den"]) == (7, 15)
+
+    def test_splitter_with_lattice_is_exit_2(self, tmp_path, capsys):
+        main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+              "--out-dir", str(tmp_path), "--prefix", "bc"])
+        capsys.readouterr()
+        rc = main(["density", "--splitter", str(tmp_path / "bc.splitter.json"),
+                   "--lattice", str(tmp_path / "missing.lattice.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "not both" in captured.err and captured.out == ""
 
     def test_lattice_density_with_explicit_ball(self, tmp_path, capsys):
         main(

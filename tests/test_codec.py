@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -8,6 +10,7 @@ from magball import (
     DomainError,
     ModPDecoderContext,
     S2DecoderContext,
+    ball_size,
     bch_code,
     bose_chowla_s2,
     build_syndrome_decoder,
@@ -16,6 +19,7 @@ from magball import (
     decode_s2,
     enumerate_ball,
     kernel_lattice,
+    lattice_contains,
 )
 
 
@@ -48,6 +52,38 @@ def s2_ctx():
 @pytest.fixture(scope="module")
 def modp_ctx():
     return ModPDecoderContext.build(bch_code(3, 2, 5), 1, 1)
+
+
+def _dense(entry, n):
+    v = [0] * n
+    for pos, val in entry:
+        v[pos] = val
+    return tuple(v)
+
+
+@lru_cache(maxsize=None)
+def _reference_leaders(code):
+    """Slow reference: a leader for every one of the p^(n-k) cosets, by
+    increasing weight (supports lexicographic, residues ascending)."""
+    total = code.p ** (code.n - code.k)
+    leaders = {}
+    for w in range(code.n + 1):
+        for support in combinations(range(code.n), w):
+            for vals in product(range(1, code.p), repeat=w):
+                vec = [0] * code.n
+                for pos, v in zip(support, vals):
+                    vec[pos] = v
+                leaders.setdefault(code.syndrome(vec), tuple(vec))
+                if len(leaders) == total:
+                    return leaders
+    raise AssertionError("could not cover every syndrome")
+
+
+def _reference_decode(code, kplus, y):
+    """Correct ``y mod p`` by its coset leader and lift the leader back to
+    the signed integers: residues above kplus wrap down by p."""
+    leader = _reference_leaders(code)[code.syndrome([v % code.p for v in y])]
+    return tuple(v - (e if e <= kplus else e - code.p) for v, e in zip(y, leader))
 
 
 class TestS2Decoder:
@@ -123,21 +159,17 @@ class TestS2Decoder:
 
 class TestSyndromeTable:
     def test_full_coverage(self, modp_ctx):
-        assert len(modp_ctx.table.leaders) == 3**6
+        assert len(modp_ctx.table.leaders) == ball_size(BallSpec(8, 2, 1, 1)) == 129
 
     def test_zero_syndrome_zero_leader(self, modp_ctx):
         code = modp_ctx.code
-        assert modp_ctx.table.leaders[code.syndrome((0,) * 8)] == (0,) * 8
+        assert modp_ctx.table.leaders[code.syndrome((0,) * 8)] == ()
 
     def test_low_weight_patterns_are_their_own_leaders(self, modp_ctx):
         code = modp_ctx.code
-        for w in (1, 2):
-            for support in combinations(range(8), w):
-                for vals in product((1, 2), repeat=w):
-                    v = [0] * 8
-                    for pos, val in zip(support, vals):
-                        v[pos] = val
-                    assert modp_ctx.table.leaders[code.syndrome(v)] == tuple(v)
+        for e in enumerate_ball(BallSpec(8, 2, 1, 1)):
+            entry = modp_ctx.table.leaders[code.syndrome([v % 3 for v in e])]
+            assert _dense(entry, 8) == e
 
     def test_table_limit(self):
         from magball.limits import limits_overridden
@@ -146,7 +178,13 @@ class TestSyndromeTable:
             from magball.errors import ResourceLimitError
 
             with pytest.raises(ResourceLimitError):
-                build_syndrome_decoder(bch_code(3, 2, 5))
+                build_syndrome_decoder(bch_code(3, 2, 5), 1, 1)
+
+    def test_declared_distance_too_high_is_rejected(self):
+        # t = 3 would need 576 distinct cosets; this code has 2^8 = 256.
+        code = replace(bch_code(2, 4, 5), d=7)
+        with pytest.raises(DomainError, match="declared d = 7"):
+            build_syndrome_decoder(code, 1, 0)
 
 
 class TestModPDecoder:
@@ -170,19 +208,35 @@ class TestModPDecoder:
                 assert result.status == "ok" and result.codeword == x
 
     def test_beyond_design_distance_is_flagged(self, modp_ctx):
+        basis = code_lattice(modp_ctx.code, 1, 1)
         flagged = 0
         for support in combinations(range(8), 3):
             v = [0] * 8
             for p in support:
                 v[p] = 1
             result = decode_mod_p(modp_ctx, tuple(v))
-            assert result.status == "ok"  # full table: always some leader
-            if not result.guaranteed:
+            if result.status == "ok":
+                assert result.guaranteed and lattice_contains(basis, result.codeword)
+                assert result.codeword == _reference_decode(modp_ctx.code, 1, v)
+            else:
+                assert result.status == "fail" and result.codeword is None
+                assert not result.guaranteed
                 flagged += 1
         assert flagged > 0
 
+    @pytest.mark.parametrize("p, m, kplus, kminus", [(3, 2, 1, 1), (3, 2, 1, 0), (2, 4, 1, 0)])
+    def test_matches_the_coset_leader_reference(self, p, m, kplus, kminus):
+        code = bch_code(p, m, 5)
+        ctx = ModPDecoderContext.build(code, kplus, kminus)
+        basis = code_lattice(code, kplus, kminus)
+        errors = list(enumerate_ball(BallSpec(code.n, 2, kplus, kminus)))
+        for x in _lattice_points(basis, 5, seed=17, spread=6):
+            for e in errors:
+                y = tuple(a + b for a, b in zip(x, e))
+                assert decode_mod_p(ctx, y).codeword == _reference_decode(code, kplus, y) == x
+
     def test_magnitude_gate(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"kplus \+ kminus < p"):
             ModPDecoderContext.build(bch_code(3, 2, 5), 2, 1)
 
     def test_context_serialization_round_trip(self, modp_ctx):
