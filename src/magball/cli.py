@@ -91,14 +91,30 @@ def _load_json(path: str):
 # ---------------------------------------------------------------------------
 
 
+# Each family's parameters, by argparse name: those without a default are
+# required, and all of them are recorded in the manifest.
+_FAMILY_PARAMS = {
+    "bch-lattice": ("p", "m", "d", "kplus", "kminus"),
+    "bose-chowla-10": ("q", "t", "variant"),
+    "bose-chowla-11": ("q", "t", "variant"),
+    "sidon-2fold": ("N", "k", "kplus", "kminus", "target_size"),
+    "behrend-ruzsa": ("kplus", "kminus", "D", "K", "p"),
+    "covering-product": ("p", "m", "t", "kplus", "kminus"),
+    "lambda-random": ("N", "t", "kplus", "kminus", "epsilon", "seed"),
+}
+
+
 def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
     """Build the requested family; returns {suffix: file text} plus parameters."""
     family = args.family
+    names = _FAMILY_PARAMS[family]
+    missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise DomainError(f"family {family} needs {', '.join(missing)}")
     out: dict[str, str] = {}
-    params: dict = {"family": family}
+    params: dict = {"family": family, **{name: getattr(args, name) for name in names}}
 
     if family == "bch-lattice":
-        params.update(p=args.p, m=args.m, d=args.d, kplus=args.kplus, kminus=args.kminus)
         code = bch_code(args.p, args.m, args.d)
         basis = code_lattice(code, args.kplus, args.kminus)
         t = (args.d - 1) // 2
@@ -110,7 +126,6 @@ def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
         ctx = ModPDecoderContext.build(code, args.kplus, args.kminus)
         out["decoder"] = _dump(ctx.to_json())
     elif family == "bose-chowla-10":
-        params.update(q=args.q, t=args.t, variant=args.variant)
         if args.variant == "s2":
             data = bose_chowla_s2(args.q, args.t)
             bt = data.bt
@@ -122,7 +137,6 @@ def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
         out["splitter"] = _dump(splitter.to_json())
         out["density"] = _dump(_splitter_density(splitter))
     elif family == "bose-chowla-11":
-        params.update(q=args.q, t=args.t, variant=args.variant)
         bt = (
             bose_chowla_s2(args.q, args.t).bt
             if args.variant == "s2"
@@ -132,10 +146,6 @@ def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
         out["splitter"] = _dump(splitter.to_json())
         out["density"] = _dump(_splitter_density(splitter))
     elif family == "sidon-2fold":
-        params.update(
-            N=args.N, k=args.k, kplus=args.kplus, kminus=args.kminus,
-            target_size=args.target_size,
-        )
         sidon, reached = search_kfold_sidon(args.N, args.k, args.target_size)
         if not reached:
             print(
@@ -147,21 +157,15 @@ def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
         out["splitter"] = _dump(splitter.to_json())
         out["density"] = _dump(_splitter_density(splitter))
     elif family == "behrend-ruzsa":
-        params.update(kplus=args.kplus, kminus=args.kminus, D=args.D, K=args.K, p=args.p)
         splitter = behrend_ruzsa_splitter(args.kplus, args.kminus, args.D, args.K, args.p)
         out["splitter"] = _dump(splitter.to_json())
         out["density"] = _dump(_splitter_density(splitter))
     elif family == "covering-product":
-        params.update(p=args.p, m=args.m, t=args.t, kplus=args.kplus, kminus=args.kminus)
         base = covering_base_split(args.p, args.m, args.kplus, args.kminus)
         splitter = product_splitter(base, args.t)
         out["splitter"] = _dump(splitter.to_json())
         out["density"] = _dump(_splitter_density(splitter))
-    elif family == "lambda-random":
-        params.update(
-            N=args.N, t=args.t, kplus=args.kplus, kminus=args.kminus,
-            epsilon=args.epsilon, seed=args.seed,
-        )
+    else:  # lambda-random
         sample = sample_lambda_splitter(
             args.N, args.t, args.kplus, args.kminus, args.epsilon, args.seed
         )
@@ -176,8 +180,6 @@ def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
             }
         )
         out["density"] = _dump(_splitter_density(sample.splitter))
-    else:
-        raise DomainError(f"unknown family {family!r}")
     return out, params
 
 
@@ -464,10 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument(
         "--family",
         required=True,
-        choices=[
-            "bch-lattice", "bose-chowla-10", "bose-chowla-11", "sidon-2fold",
-            "behrend-ruzsa", "covering-product", "lambda-random",
-        ],
+        choices=list(_FAMILY_PARAMS),
     )
     con.add_argument("--p", type=int)
     con.add_argument("--m", type=int)

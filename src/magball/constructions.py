@@ -25,7 +25,7 @@ from .algebra import (
     is_prime,
     subfield_elements,
 )
-from .ball import BallSpec, ball_size
+from .ball import BallSpec, ball_size, enumerate_ball
 from .errors import DomainError
 from .lattice import LatticeBasis, basis_from_rows
 from .limits import check
@@ -576,7 +576,6 @@ def nonlinear_code_pack(
         if sum(1 for x, y in zip(a, b) if x != y) < 2 * t + 1:
             return NonlinearPacking("refuted", q, words, ball, dens, witness=(a, b))
     check("enumeration", len(words) * ball_size(ball))
-    from .ball import enumerate_ball
 
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for w in words:

@@ -1,16 +1,18 @@
 """Integer lattice machinery: kernel lattices of splitting homomorphisms,
 Hermite and Smith normal forms, and geometric packing/covering oracles.
 
-Everything here runs in exact integer arithmetic; there is no floating point
-in this module.  The geometric oracles are deliberately independent of the
-splitting checkers so the two act as mutual cross-checks.
+Both geometric oracles label each ball point by its coset of ``Z^n / L``,
+read off the Smith form of the basis: the ball packs iff the labels are
+distinct and covers iff they reach all ``vol(L)`` cosets.  They work on the
+lattice, not on group images, so they stay independent of the splitting
+checkers and the two act as mutual cross-checks.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Sequence
 
 from .algebra import GroupElement, GroupSpec
@@ -258,6 +260,14 @@ def basis_from_rows(rows: Sequence[Sequence[int]], n: int, source: str | None = 
     return LatticeBasis(n, top, volume, source)
 
 
+def _relation_matrix(group: GroupSpec, elements: Sequence[GroupElement]) -> Matrix:
+    """The elements' residues as rows, followed by the modulus rows ``m_j e_j``."""
+    moduli = group.moduli
+    return [list(g.residues) for g in elements] + [
+        [m if i == j else 0 for i in range(len(moduli))] for j, m in enumerate(moduli)
+    ]
+
+
 def kernel_lattice(splitter: SplitterSet) -> LatticeBasis:
     """The lattice of integer vectors whose splitter combination is the identity.
 
@@ -269,12 +279,7 @@ def kernel_lattice(splitter: SplitterSet) -> LatticeBasis:
     check("group_order", splitter.group.order)
     group = splitter.group
     n, r = splitter.n, group.rank
-    rel: Matrix = [list(s.residues) for s in splitter.elements]
-    for j, m in enumerate(group.moduli):
-        row = [0] * r
-        row[j] = m
-        rel.append(row)
-    H, U, pivots = hermite_normal_form(rel)
+    H, U, pivots = hermite_normal_form(_relation_matrix(group, splitter.elements))
     rank = len(pivots)
     kernel_rows = [U[i][:n] for i in range(rank, n + r)]
     if len(kernel_rows) != n:
@@ -315,55 +320,57 @@ class GeometricReport:
         return {"verdict": self.verdict, "witness": witness}
 
 
+def _coset_labeller(basis: LatticeBasis, ball: BallSpec):
+    """Coset labels of ``Z^n / basis`` from its Smith form ``U B V = D``:
+    ``x`` and ``y`` are congruent iff ``x V`` and ``y V`` agree modulo the
+    diagonal.  Unit invariants always give 0, so only the non-unit ones,
+    ``mods``, are kept.  Returns ``(mods, label, inverse)``, where
+    ``cand @ inverse`` represents the coset labelled ``cand``."""
+    if ball.n != basis.n:
+        raise DomainError(f"ball n = {ball.n} != lattice n = {basis.n}")
+    _, D, V, _, Vinv = _snf_full([list(r) for r in basis.rows])
+    keep = [c for c in range(basis.n) if D[c][c] != 1]
+    mods = [D[c][c] for c in keep]
+    rows = [[V[i][c] % D[c][c] for c in keep] for i in range(basis.n)]
+
+    def label(vec: Sequence[int]) -> tuple[int, ...]:
+        acc = [0] * len(mods)
+        for i in compress(range(basis.n), vec):
+            acc = [a + vec[i] * r for a, r in zip(acc, rows[i])]
+        return tuple(a % d for a, d in zip(acc, mods))
+
+    return mods, label, [Vinv[c] for c in keep]
+
+
 def verify_packing_geometric(basis: LatticeBasis, ball: BallSpec) -> GeometricReport:
-    """Translates of the ball by lattice points are disjoint iff no difference
-    of two distinct ball points lies in the lattice."""
-    size = ball_size(ball)
-    check("pairs", size * size)
-    points = list(enumerate_ball(ball))
-    memo: dict[tuple[int, ...], bool] = {}
-    for i in range(len(points)):
-        bi = points[i]
-        for j in range(i + 1, len(points)):
-            bj = points[j]
-            diff = tuple(x - y for x, y in zip(bj, bi))
-            hit = memo.get(diff)
-            if hit is None:
-                hit = lattice_contains(basis, diff)
-                memo[diff] = hit
-            if hit:
-                return GeometricReport("refuted", witness=(bi, bj))
-    return GeometricReport("verified")
+    """The ball's translates are disjoint iff its points lie in distinct
+    cosets.  Witness: the first point ``b_i`` (in :func:`enumerate_ball`
+    order) whose coset holds a later point, with the first such ``b_j``."""
+    _, label, _ = _coset_labeller(basis, ball)
+    first: dict[tuple[int, ...], int] = {}
+    pair = None
+    for j, b in enumerate(enumerate_ball(ball)):
+        i = first.setdefault(label(b), j)
+        if i < j and (pair is None or i < pair[0]):
+            pair = (i, j)
+    if pair is None:
+        return GeometricReport("verified")
+    witness = tuple(b for k, b in zip(range(pair[1] + 1), enumerate_ball(ball)) if k in pair)
+    return GeometricReport("refuted", witness=witness)
 
 
 def verify_covering_geometric(basis: LatticeBasis, ball: BallSpec) -> GeometricReport:
-    """Every coset of the lattice must contain a ball point.
-
-    Cosets are labelled through the Smith normal form: x and y are congruent
-    mod the lattice iff x V and y V agree componentwise modulo the diagonal.
-    """
+    """Every coset must hold a ball point; the witness represents the first
+    uncovered coset label in lexicographic order."""
     check("cosets", basis.volume)
-    _, D, V, _, Vinv = _snf_full([list(r) for r in basis.rows])
-    n = basis.n
-    diag = [D[i][i] for i in range(n)]
-    if any(d <= 0 for d in diag):
-        raise DomainError("basis must have full rank")
-
-    def label(vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            sum(vec[r] * V[r][c] for r in range(n)) % diag[c] for c in range(n)
-        )
-
+    mods, label, inverse = _coset_labeller(basis, ball)
     covered = {label(b) for b in enumerate_ball(ball)}
-    total = 1
-    for d in diag:
-        total *= d
-    if len(covered) == total:
+    if len(covered) == basis.volume:
         return GeometricReport("verified")
-    for cand in product(*(range(d) for d in diag)):
+    for cand in product(*(range(d) for d in mods)):
         if cand not in covered:
             rep = tuple(
-                sum(cand[r] * Vinv[r][c] for r in range(n)) for c in range(n)
+                sum(x * row[c] for x, row in zip(cand, inverse)) for c in range(basis.n)
             )
             return GeometricReport("refuted", witness=rep)
     raise AssertionError("unreachable: count mismatch without an uncovered coset")
@@ -371,8 +378,6 @@ def verify_covering_geometric(basis: LatticeBasis, ball: BallSpec) -> GeometricR
 
 def density(basis: LatticeBasis, ball: BallSpec) -> Fraction:
     """Exact packing/covering density: ball size over fundamental volume."""
-    if basis.volume <= 0:
-        raise DomainError("volume must be positive")
     return Fraction(ball_size(ball), basis.volume)
 
 
@@ -385,15 +390,9 @@ def subgroup_order_by_diagonalization(
     quotient of Z^r by (generator lifts + modulus rows) has order equal to the
     product of the Smith diagonal, and the subgroup order is |G| over that.
     """
-    r = group.rank
-    rel: Matrix = [list(g.residues) for g in gens]
-    for j, m in enumerate(group.moduli):
-        row = [0] * r
-        row[j] = m
-        rel.append(row)
-    _, D, _ = smith_normal_form(rel)
+    _, D, _ = smith_normal_form(_relation_matrix(group, gens))
     quotient = 1
-    for i in range(r):
+    for i in range(group.rank):
         quotient *= D[i][i]
     if quotient == 0:
         raise DomainError("relation matrix lost rank")

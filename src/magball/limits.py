@@ -24,7 +24,7 @@ class Limits:
     group_order: int = 1 << 24
     field_size: int = 1 << 20
     enumeration: int = 10**6
-    pairs: int = 10**7
+    pairs: int = 10**7  # bounds nothing; kept while perfbench reads limits.pairs
     cosets: int = 10**7
     syndrome_table: int = 10**6
 

@@ -146,6 +146,26 @@ class TestExitCodes:
         assert "'nonsense'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "family, flags",
+        [
+            ("bch-lattice", ["--p", "--m", "--d"]),
+            ("bose-chowla-10", ["--q", "--t"]),
+            ("bose-chowla-11", ["--q", "--t"]),
+            ("sidon-2fold", ["--N", "--k"]),
+            ("behrend-ruzsa", ["--D", "--K", "--p"]),
+            ("covering-product", ["--p", "--m", "--t"]),
+            ("lambda-random", ["--N", "--t"]),
+        ],
+    )
+    def test_missing_family_flags_are_exit_2(self, tmp_path, family, flags):
+        proc = run_cli(
+            ["construct", "--family", family, "--out-dir", str(tmp_path)], cwd=str(tmp_path)
+        )
+        assert proc.returncode == 2
+        assert f"needs {', '.join(flags)}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_inputs_is_exit_2(self):
         assert main(["verify", "--kind", "packing"]) == 2
 

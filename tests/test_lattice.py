@@ -1,5 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from magball import (
     BallSpec,
@@ -12,15 +16,26 @@ from magball import (
     check_complete_split,
     check_partial_split,
     code_lattice,
+    covering_base_split,
     density,
+    enumerate_ball,
     kernel_lattice,
     lattice_contains,
+    product_splitter,
     smith_normal_form,
     subgroup_order,
     verify_covering_geometric,
     verify_packing_geometric,
 )
-from magball.lattice import basis_from_rows, det_from_hnf, hermite_normal_form
+from magball.errors import DomainError, ResourceLimitError
+from magball.lattice import (
+    GeometricReport,
+    _snf_full,
+    basis_from_rows,
+    det_from_hnf,
+    hermite_normal_form,
+)
+from magball.limits import limits_overridden
 
 
 def _splitter(moduli, elements, kplus, kminus, t):
@@ -126,8 +141,6 @@ class TestSmith:
             assert all(x >= 0 for x in diag)
 
     def test_tracked_inverses_are_exact(self):
-        from magball.lattice import _snf_full
-
         rng = random.Random(51)
         for _ in range(40):
             rows = rng.randint(1, 4)
@@ -232,10 +245,113 @@ class TestGeometricOracles:
         report = verify_covering_geometric(basis, s.ball())
         assert not report.verified
         rep = report.witness
-        from magball import enumerate_ball
-
         for b in enumerate_ball(s.ball()):
             assert not lattice_contains(basis, tuple(r - x for r, x in zip(rep, b)))
+
+    def test_packing_witness_is_smallest_recurring_index(self):
+        # cov-2-2-2: the origin's coset recurs first at e1 + e3.  The first
+        # repeat met in scan order would be (e3, e1 + e2) instead.
+        s = product_splitter(covering_base_split(2, 2, 1, 0), 2)
+        report = verify_packing_geometric(kernel_lattice(s), s.ball())
+        assert report.witness == ((0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0))
+
+    @pytest.mark.parametrize("oracle", [verify_packing_geometric, verify_covering_geometric])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_ball_of_another_dimension_is_rejected(self, oracle, n):
+        basis = basis_from_rows([[1, 5], [0, 8]], 2)
+        with pytest.raises(DomainError, match="ball n"):
+            oracle(basis, BallSpec(n, 1, 1, 0))
+
+    def test_packing_is_not_gated_by_cosets(self):
+        basis = code_lattice(bch_code(3, 2, 5), 1, 1)  # volume 729
+        ball = BallSpec(8, 2, 1, 1)
+        with limits_overridden(cosets=10):
+            assert verify_packing_geometric(basis, ball).verified
+            with pytest.raises(ResourceLimitError):
+                verify_covering_geometric(basis, ball)
+
+
+# --- slow references for the Smith-label oracles ---
+
+
+def _pair_scan_packing(basis, ball):
+    """The O(|B|^2) difference scan: the first pair i < j, in enumerate_ball
+    order, whose difference is a lattice point."""
+    points = list(enumerate_ball(ball))
+    for i, bi in enumerate(points):
+        for bj in points[i + 1:]:
+            if lattice_contains(basis, tuple(y - x for x, y in zip(bi, bj))):
+                return GeometricReport("refuted", witness=(bi, bj))
+    return GeometricReport("verified")
+
+
+def _full_width_covering(basis, ball):
+    """Smith labels over every invariant, unit ones included."""
+    _, D, V, _, Vinv = _snf_full([list(r) for r in basis.rows])
+    n = basis.n
+    diag = [D[i][i] for i in range(n)]
+
+    def label(vec):
+        return tuple(sum(vec[r] * V[r][c] for r in range(n)) % diag[c] for c in range(n))
+
+    covered = {label(b) for b in enumerate_ball(ball)}
+    if len(covered) == basis.volume:
+        return GeometricReport("verified")
+    for cand in product(*(range(d) for d in diag)):
+        if cand not in covered:
+            rep = tuple(sum(cand[r] * Vinv[r][c] for r in range(n)) for c in range(n))
+            return GeometricReport("refuted", witness=rep)
+
+
+@st.composite
+def _balls(draw, n):
+    kplus = draw(st.integers(1, 2))
+    return BallSpec(n, draw(st.integers(0, n)), kplus, draw(st.integers(0, kplus)))
+
+
+@st.composite
+def _hnf_bases(draw):
+    n = draw(st.integers(1, 4))
+    rows = [
+        [0] * i + [draw(st.integers(1, 6))] + [draw(st.integers(-6, 6)) for _ in range(n - i - 1)]
+        for i in range(n)
+    ]
+    return basis_from_rows(rows, n)
+
+
+@st.composite
+def _splitters(draw):
+    moduli = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=2)))
+    g = GroupSpec(moduli)
+    residues = draw(
+        st.lists(
+            st.tuples(*(st.integers(0, m - 1) for m in moduli)),
+            min_size=1, max_size=4, unique=True,
+        )
+    )
+    kplus = draw(st.integers(1, 2))
+    mags = MagnitudeSet(kplus, draw(st.integers(0, kplus)))
+    t = draw(st.integers(1, len(residues)))
+    return SplitterSet(g, tuple(g.element(r) for r in residues), mags, t)
+
+
+class TestSmithLabelsAgainstReferences:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_hnf_bases(self, data):
+        basis = data.draw(_hnf_bases())
+        ball = data.draw(_balls(basis.n))
+        assert verify_packing_geometric(basis, ball).to_json() == _pair_scan_packing(basis, ball).to_json()
+        assert verify_covering_geometric(basis, ball).to_json() == _full_width_covering(basis, ball).to_json()
+
+    @settings(max_examples=80, deadline=None)
+    @given(_splitters())
+    def test_kernel_lattices_of_random_splitters(self, s):
+        basis, ball = kernel_lattice(s), s.ball()
+        packing = verify_packing_geometric(basis, ball)
+        assert packing.to_json() == _pair_scan_packing(basis, ball).to_json()
+        assert packing.verified == check_partial_split(s).verified
+        assert verify_covering_geometric(basis, ball).to_json() == _full_width_covering(basis, ball).to_json()
 
 
 class TestDensity:
