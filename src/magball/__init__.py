@@ -10,7 +10,6 @@ from .algebra import (
     group_add,
     group_neg,
     scalar_mul,
-    subgroup_order,
 )
 from .ball import BallSpec, ball_contains, ball_size, enumerate_ball
 from .codec import (
@@ -52,7 +51,6 @@ from .lattice import (
     kernel_lattice,
     lattice_contains,
     smith_normal_form,
-    subgroup_order_by_diagonalization,
     verify_covering_geometric,
     verify_packing_geometric,
 )

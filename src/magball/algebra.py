@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 from typing import Iterator, Sequence
 
 from .errors import DomainError
@@ -113,33 +114,6 @@ def scalar_mul(c: int, a: GroupElement) -> GroupElement:
     return GroupElement(
         a.spec, tuple((c * x) % m for x, m in zip(a.residues, a.spec.moduli))
     )
-
-
-def subgroup_order(group: GroupSpec, gens: Sequence[GroupElement]) -> int:
-    """Order of the subgroup generated by ``gens``, by breadth-first closure.
-
-    In a finite group the additive closure of the generators already contains
-    all inverses, so a plain forward BFS suffices.
-    """
-    check("group_order", group.order)
-    for g in gens:
-        if g.spec != group:
-            raise DomainError("generator does not belong to the group")
-    moduli = group.moduli
-    gen_res = [g.residues for g in gens]
-    identity = (0,) * group.rank
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for g in gen_res:
-                cand = tuple((x + y) % m for x, y, m in zip(cur, g, moduli))
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +254,48 @@ def _mul_by_x(p: int, modulus: tuple[int, ...], e: FieldElement) -> FieldElement
     return tuple((s - carry * modulus[i]) % p for i, s in enumerate(shifted))
 
 
-def _order_of_x(p: int, modulus: tuple[int, ...]) -> int | None:
-    """Multiplicative order of x mod ``modulus``, or None if x never cycles."""
+def _mul_mod(p: int, modulus: tuple[int, ...], a: FieldElement, b: FieldElement) -> FieldElement:
+    """Product of two residues mod the monic ``modulus`` over ``F_p``."""
     m = len(modulus) - 1
-    one = (1,) + (0,) * (m - 1)
-    limit = p**m - 1
-    cur = _mul_by_x(p, modulus, one)
-    for k in range(1, limit + 1):
-        if cur == one:
-            return k
-        cur = _mul_by_x(p, modulus, cur)
-    return None
+    out = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for top in range(2 * m - 2, m - 1, -1):
+        c = out[top] % p
+        if c:
+            for i in range(m):
+                out[top - m + i] -= c * modulus[i]
+    return tuple(c % p for c in out[:m])
+
+
+def _x_power(p: int, modulus: tuple[int, ...], e: int) -> FieldElement:
+    """``x^e`` mod ``modulus`` by left-to-right square-and-multiply."""
+    acc = (1,) + (0,) * (len(modulus) - 2)
+    for bit in bin(e)[2:]:
+        acc = _mul_mod(p, modulus, acc, acc)
+        if bit == "1":
+            acc = _mul_by_x(p, modulus, acc)
+    return acc
+
+
+def _is_primitive(p: int, modulus: tuple[int, ...]) -> bool:
+    """Whether x has order exactly ``N = p^m - 1`` mod ``modulus``: ``x^N = 1``
+    and ``x^(N/r) != 1`` for every prime ``r | N`` (Lidl & Niederreiter,
+    Thm 3.18), with the primes found by trial division."""
+    one = (1,) + (0,) * (len(modulus) - 2)
+    N = rest = p ** (len(modulus) - 1) - 1
+    exponents = []
+    for r in range(2, isqrt(N) + 1):
+        if rest % r == 0:
+            exponents.append(N // r)
+            while rest % r == 0:
+                rest //= r
+    exponents += [N // rest] if rest > 1 else []
+    return _x_power(p, modulus, N) == one and all(
+        _x_power(p, modulus, e) != one for e in exponents
+    )
 
 
 @lru_cache(maxsize=None)
@@ -308,13 +313,12 @@ def find_primitive_polynomial(p: int, m: int) -> FieldSpec:
     if m < 1:
         raise DomainError("degree must be >= 1")
     check("field_size", p**m)
-    target = p**m - 1
     for desc in product(range(p), repeat=m):
         # desc = (c_{m-1}, ..., c_1, c_0); constant term last
         if desc[-1] == 0:
             continue  # x would not be a unit
         modulus = tuple(reversed(desc)) + (1,)
-        if _order_of_x(p, modulus) == target:
+        if _is_primitive(p, modulus):
             return FieldSpec(p, m, modulus)
     raise DomainError(f"no primitive polynomial of degree {m} over F_{p}")
 

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, factorial, gcd, log
+from math import comb, factorial, floor, gcd
 from typing import Sequence
 
 from .algebra import (
@@ -651,16 +651,37 @@ def product_splitter(base: SplitterSet, t: int) -> SplitterSet:
     return SplitterSet(group, tuple(elements), base.magnitudes, t)
 
 
+def _floor_ln(ell: int, scale: int) -> int:
+    """``floor(scale * ln(ell))`` exactly, for an integer ``ell >= 1``.
+
+    With ``ell = 2^k y``, ``1 <= y < 2``: ``ln(ell) = 2k atanh(1/3) + 2 atanh(x)``
+    for ``x = (y-1)/(y+1) < 1/3``.  The sum of ``x^(2j+1) / (2j+1)`` over
+    ``j < terms`` falls short of ``atanh(x)`` by less than
+    ``x^(2 terms+1) (9/8) / (2 terms+1)``.  Terms double until both bounds
+    have one floor, which must happen: ``ln(ell)`` is irrational for ``ell >= 2``."""
+    k = ell.bit_length() - 1
+    y, terms = Fraction(ell, 1 << k), 8
+    while True:
+        low = high = Fraction(0)
+        for weight, x in ((2 * k, Fraction(1, 3)), (2, (y - 1) / (y + 1))):
+            partial = sum(x ** (2 * j + 1) / (2 * j + 1) for j in range(terms))
+            low += weight * partial
+            high += weight * (partial + x ** (2 * terms + 1) * Fraction(9, 8) / (2 * terms + 1))
+        if floor(scale * low) == floor(scale * high):
+            return floor(scale * low)
+        terms *= 2
+
+
 def hamming_covering_baseline(
     n: int, t: int, kplus: int, kminus: int, ell: int
 ) -> Fraction:
     """Density of the generic covering-code baseline of size
-    ceil(n ell^n ln(ell) / |B|), with ln(ell) replaced by a rational upper
-    bound of relative error below 1e-6."""
+    ceil(n ell^n ln(ell) / |B|), with ln(ell) replaced by the rational upper
+    bound ``(floor(10^9 ln(ell)) + 1) / 10^9``, of relative error below 1e-6."""
     if ell < 2:
         raise DomainError("need an alphabet of size >= 2")
     size = ball_size(BallSpec(n, t, kplus, kminus))
-    ln_up = Fraction(int(log(ell) * 10**9) + 1, 10**9)
+    ln_up = Fraction(_floor_ln(ell, 10**9) + 1, 10**9)
     codewords = -((-(n * ell**n) * ln_up.numerator) // (ln_up.denominator * size))
     return Fraction(codewords * size, ell**n)
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
+from math import lcm, prod
 from typing import Sequence
 
-from .algebra import GroupElement, GroupSpec
 from .ball import BallSpec, ball_size, enumerate_ball
 from .errors import DomainError
 from .limits import check
@@ -260,31 +260,65 @@ def basis_from_rows(rows: Sequence[Sequence[int]], n: int, source: str | None = 
     return LatticeBasis(n, top, volume, source)
 
 
-def _relation_matrix(group: GroupSpec, elements: Sequence[GroupElement]) -> Matrix:
-    """The elements' residues as rows, followed by the modulus rows ``m_j e_j``."""
-    moduli = group.moduli
-    return [list(g.residues) for g in elements] + [
-        [m if i == j else 0 for i in range(len(moduli))] for j, m in enumerate(moduli)
-    ]
+def _solve_upper(B: Matrix, v: Sequence[int]) -> list[Fraction]:
+    """The rational ``z`` with ``z @ B == v`` for upper-triangular ``B``."""
+    z: list[Fraction] = []
+    for c in range(len(B)):
+        z.append(Fraction(v[c] - sum(zk * B[k][c] for k, zk in enumerate(z)), B[c][c]))
+    return z
+
+
+def _combine(coefs: Sequence[int], vecs: Sequence[dict[int, int]]) -> dict[int, int]:
+    """``sum coefs[k] * vecs[k]`` over sparse integer vectors."""
+    out: dict[int, int] = {}
+    for coef, vec in zip(coefs, vecs):
+        for j, c in vec.items():
+            out[j] = out.get(j, 0) + coef * c
+    return out
 
 
 def kernel_lattice(splitter: SplitterSet) -> LatticeBasis:
     """The lattice of integer vectors whose splitter combination is the identity.
 
-    Build the relation matrix whose rows are the splitter residues followed by
-    the modulus rows ``m_j e_j``; the projection of its integer left kernel
-    onto the first n coordinates is exactly the kernel lattice, and the left
-    kernel falls out of the HNF transform rows that map to zero.
+    Walk the subgroup chain from the right (Cohen, GTM 138, §2.4).  With
+    residue lifts ``a_j`` and ``L_i = span(a_j : j >= i) + diag(m) Z^r``, the
+    HNF diagonal ``d_i`` is the order of ``a_i`` modulo ``L_{i+1}``, and row
+    ``i`` is ``d_i e_i`` minus an expression of ``d_i a_i`` over later
+    generators, reduced against the later rows.  Only the tail positions, those
+    with ``d_j > 1`` (at most log2 |G| of them), carry such entries.  So each
+    row of ``B``, the r x r HNF of ``L_{i+1}``, is kept as a combination of
+    tail generators, and ``B`` is only re-formed when ``d_i > 1``.
     """
     check("group_order", splitter.group.order)
-    group = splitter.group
-    n, r = splitter.n, group.rank
-    H, U, pivots = hermite_normal_form(_relation_matrix(group, splitter.elements))
-    rank = len(pivots)
-    kernel_rows = [U[i][:n] for i in range(rank, n + r)]
-    if len(kernel_rows) != n:
-        raise DomainError("relation matrix was not full column rank")
-    return basis_from_rows(kernel_rows, n, source="kernel")
+    group, n, r = splitter.group, splitter.n, splitter.group.rank
+    B = [[m if i == j else 0 for j in range(r)] for i, m in enumerate(group.moduli)]
+    combos: list[dict[int, int]] = [{} for _ in range(r)]  # B[k] = sum combos[k][j] a_j mod m
+    tail: list[int] = []
+    rows: dict[int, dict[int, int]] = {}
+
+    def reduce(x: dict[int, int]) -> dict[int, int]:
+        for j in tail:  # ascending, so reduced columns stay reduced
+            q = x.get(j, 0) // rows[j][j]
+            if q:
+                for k, h in rows[j].items():
+                    x[k] = x.get(k, 0) - q * h
+        return {k: v for k, v in x.items() if v}
+
+    for i in reversed(range(n)):
+        a = list(splitter.elements[i].residues)
+        z = _solve_upper(B, a)
+        d = lcm(*(zk.denominator for zk in z))
+        rows[i] = {i: d, **reduce(_combine([-int(zk * d) for zk in z], combos))}
+        if d > 1:
+            H, U, _ = hermite_normal_form(B + [a])
+            B = H[:r]
+            combos = [_combine(u, combos + [{i: 1}]) for u in U[:r]]
+            tail.insert(0, i)
+    volume = prod(rows[i][i] for i in range(n))
+    if volume * prod(B[k][k] for k in range(r)) != group.order:
+        raise DomainError("kernel volume disagrees with the subgroup chain")
+    dense = tuple(tuple(rows[i].get(j, 0) for j in range(n)) for i in range(n))
+    return LatticeBasis(n, dense, volume, source="kernel")
 
 
 def lattice_contains(basis: LatticeBasis, v: Sequence[int]) -> bool:
@@ -379,21 +413,3 @@ def verify_covering_geometric(basis: LatticeBasis, ball: BallSpec) -> GeometricR
 def density(basis: LatticeBasis, ball: BallSpec) -> Fraction:
     """Exact packing/covering density: ball size over fundamental volume."""
     return Fraction(ball_size(ball), basis.volume)
-
-
-def subgroup_order_by_diagonalization(
-    group: GroupSpec, gens: Sequence[GroupElement]
-) -> int:
-    """Subgroup order via Smith diagonalization of the relation matrix.
-
-    Independent of the breadth-first closure in :mod:`magball.algebra`; the
-    quotient of Z^r by (generator lifts + modulus rows) has order equal to the
-    product of the Smith diagonal, and the subgroup order is |G| over that.
-    """
-    _, D, _ = smith_normal_form(_relation_matrix(group, gens))
-    quotient = 1
-    for i in range(group.rank):
-        quotient *= D[i][i]
-    if quotient == 0:
-        raise DomainError("relation matrix lost rank")
-    return group.order // quotient

@@ -38,11 +38,11 @@ from magball import (
     multiplicity_histogram,
     product_splitter,
     sample_lambda_splitter,
-    subgroup_order,
     verify_covering_geometric,
     verify_packing_geometric,
 )
 from magball.constructions import min_distance
+from references import subgroup_order
 
 
 def _announce(number: int, message: str) -> None:

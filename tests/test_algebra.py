@@ -12,10 +12,9 @@ from magball import (
     group_add,
     group_neg,
     scalar_mul,
-    subgroup_order,
 )
-from magball.algebra import factor_prime_power, is_prime, subfield_elements
-from magball.lattice import subgroup_order_by_diagonalization
+from magball.algebra import _is_primitive, factor_prime_power, is_prime, subfield_elements
+from references import subgroup_order, subgroup_order_by_diagonalization
 
 
 # --- independent oracle: order of x in F_p[x]/(f) by schoolbook arithmetic ---
@@ -72,6 +71,31 @@ class TestPrimitivePolynomials:
     def test_rejects_composite_characteristic(self):
         with pytest.raises(DomainError):
             find_primitive_polynomial(4, 2)
+
+    @pytest.mark.parametrize(
+        "p,m", [(2, m) for m in range(1, 9)] + [(3, m) for m in range(1, 5)]
+        + [(5, 1), (5, 2), (5, 3), (7, 2)]
+    )
+    def test_order_test_matches_the_walk(self, p, m):
+        # Every monic candidate with a nonzero constant term.
+        for rest in product(range(p), repeat=m):
+            if rest[0] == 0:
+                continue
+            modulus = rest + (1,)
+            assert _is_primitive(p, modulus) == (_oracle_order_of_x(p, modulus) == p**m - 1)
+
+    @pytest.mark.parametrize(
+        "p,m,modulus",
+        [
+            # Pinned: the walk in _oracle_order_of_x takes up to 16 s here.
+            (2, 16, (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+            (2, 18, (1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+            (2, 20, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+            (3, 12, (2, 2, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1)),
+        ],
+    )
+    def test_large_fields_are_pinned(self, p, m, modulus):
+        assert find_primitive_polynomial(p, m).modulus == modulus
 
 
 class TestDiscreteLog:

@@ -1,4 +1,5 @@
 import random
+from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from math import comb, log
 
@@ -30,11 +31,11 @@ from magball import (
     sample_lambda_splitter,
     search_bt_set,
     search_kfold_sidon,
-    subgroup_order,
     verify_covering_geometric,
     verify_packing_geometric,
 )
-from magball.constructions import LinearCode, min_distance
+from magball.constructions import LinearCode, _floor_ln, min_distance
+from references import subgroup_order
 
 
 class TestBtSets:
@@ -390,6 +391,14 @@ class TestBaseline:
     def test_exactness_is_rational(self):
         value = hamming_covering_baseline(6, 2, 1, 0, 2)
         assert isinstance(value, Fraction)
+
+    @pytest.mark.parametrize("ell", range(2, 65))
+    def test_floor_ln_matches_high_precision(self, ell):
+        # 60 significant digits leave about 50 past the 10^-9 place, far
+        # more than any ln(ell) with ell <= 64 needs to settle its floor.
+        ln = Decimal(ell).ln(Context(prec=60))
+        expected = int((ln * 10**9).to_integral_value(rounding=ROUND_FLOOR))
+        assert _floor_ln(ell, 10**9) == expected
 
 
 class TestLambdaSampler:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,11 @@ from magball import (
     SplitterSet,
     ball_size,
     bch_code,
+    behrend_ruzsa_splitter,
+    bose_chowla_s1,
+    bose_chowla_s2,
+    bt_pm1_splitter,
+    bt_shift_to_splitter,
     check_complete_split,
     check_partial_split,
     code_lattice,
@@ -20,10 +26,12 @@ from magball import (
     density,
     enumerate_ball,
     kernel_lattice,
+    kfold_sidon_splitter,
     lattice_contains,
     product_splitter,
+    sample_lambda_splitter,
+    search_kfold_sidon,
     smith_normal_form,
-    subgroup_order,
     verify_covering_geometric,
     verify_packing_geometric,
 )
@@ -36,6 +44,7 @@ from magball.lattice import (
     hermite_normal_form,
 )
 from magball.limits import limits_overridden
+from references import relation_matrix, subgroup_order
 
 
 def _splitter(moduli, elements, kplus, kminus, t):
@@ -215,6 +224,82 @@ class TestKernelLattice:
         code = bch_code(3, 2, 5)
         basis = code_lattice(code, 1, 1)
         assert basis.volume == 729
+
+
+# --- slow reference for the subgroup-chain kernel walk ---
+
+
+def _reference_kernel_lattice(splitter):
+    """The left kernel of the relation matrix (residue rows, then modulus
+    rows), read off its HNF transform and re-canonicalised by a second HNF."""
+    n = splitter.n
+    H, U, pivots = hermite_normal_form(relation_matrix(splitter.group, splitter.elements))
+    kernel_rows = [U[i][:n] for i in range(len(pivots), len(H))]
+    if len(kernel_rows) != n:
+        raise DomainError("relation matrix was not full column rank")
+    return basis_from_rows(kernel_rows, n, source="kernel")
+
+
+@dataclass(frozen=True)
+class _Images:
+    """Any list of images in ``group``; unlike a SplitterSet it may repeat."""
+
+    group: GroupSpec
+    elements: tuple
+
+    @property
+    def n(self):
+        return len(self.elements)
+
+
+def _kernel_outcome(kernel, images):
+    try:
+        basis = kernel(images)
+    except DomainError:
+        return "DomainError"
+    return basis.rows, basis.volume
+
+
+@st.composite
+def _image_lists(draw):
+    # Moduli in 1..12 give trivial factors and non-coprime pairs; up to eight
+    # images give repeats and sets that generate only a subgroup.
+    moduli = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+    g = GroupSpec(moduli)
+    residues = draw(
+        st.lists(st.tuples(*(st.integers(0, m - 1) for m in moduli)), min_size=1, max_size=8)
+    )
+    return _Images(g, tuple(g.element(r) for r in residues))
+
+
+_FAMILY_SPLITTERS = {
+    "bc10-q8": lambda: bt_shift_to_splitter(bose_chowla_s1(8, 2)),
+    "bc10-q27": lambda: bt_shift_to_splitter(bose_chowla_s1(27, 2)),
+    "bc10-q256": lambda: bt_shift_to_splitter(bose_chowla_s1(256, 2)),
+    "s2-q16-t3": lambda: bt_shift_to_splitter(bose_chowla_s2(16, 3).bt),
+    "bc11-q13": lambda: bt_pm1_splitter(bose_chowla_s1(13, 2), 2),
+    "sidon-31-2-4": lambda: kfold_sidon_splitter(search_kfold_sidon(31, 2, 4)[0], 2, 0),
+    "behrend-1-0-2-1-17": lambda: behrend_ruzsa_splitter(1, 0, 2, 1, 17),
+    "cov-2-5-2": lambda: product_splitter(covering_base_split(2, 5, 1, 0), 2),
+    "lam-1009-0": lambda: sample_lambda_splitter(1009, 2, 1, 0, 0.1, seed=3).splitter,
+}
+
+
+class TestKernelWalkAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_image_lists())
+    def test_random_image_lists(self, images):
+        outcome = _kernel_outcome(kernel_lattice, images)
+        assert outcome == _kernel_outcome(_reference_kernel_lattice, images)
+        # Z^n / ker(phi) is the image of phi, so the volume is its order.
+        assert outcome[1] == subgroup_order(images.group, list(images.elements))
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_SPLITTERS))
+    def test_family_splitters(self, family):
+        splitter = _FAMILY_SPLITTERS[family]()
+        assert _kernel_outcome(kernel_lattice, splitter) == _kernel_outcome(
+            _reference_kernel_lattice, splitter
+        )
 
 
 class TestGeometricOracles:
