@@ -26,7 +26,7 @@ from .algebra import (
     subfield_elements,
 )
 from .ball import BallSpec, ball_size, enumerate_ball
-from .errors import DomainError
+from .errors import DomainError, OracleDisagreement
 from .lattice import LatticeBasis, basis_from_rows
 from .limits import check
 from .splitting import MagnitudeSet, SplitReport, SplitterSet, multiplicity_histogram
@@ -107,11 +107,18 @@ def bose_chowla_s2(q: int, t: int) -> S2Data:
     return S2Data(bt, field, q, t, N, alphas, tuple(svals), tuple(betas))
 
 
+def _require_positive(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise DomainError(f"need {name} >= 1, got {value}")
+
+
 def is_bt_set(
     elements: Sequence[int], N: int, t: int
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """Exhaustive multiset-sum distinctness check; returns the first colliding
     pair of multisets on failure."""
+    _require_positive(N=N, t=t)
     A = sorted(set(int(a) % N for a in elements))
     check("enumeration", comb(len(A) + t - 1, t) if A else 0)
     seen: dict[int, tuple[int, ...]] = {}
@@ -123,30 +130,96 @@ def is_bt_set(
     return True, None
 
 
-def search_bt_set(N: int, t: int, target_size: int) -> tuple[BtSet, bool]:
-    """Deterministic backtracking for a B_t set of the requested size; returns
-    the first set found or the maximum-size set seen, with a reached flag."""
+def _backtrack(N: int, target_size: int, workload, node) -> tuple[list[int], bool]:
+    """Depth-first search over Z_N, extending in increasing order.
+
+    ``workload(size)`` is the enumeration workload of the full check of a set
+    of that size.  ``node(current)`` returns the test of a candidate ``y``:
+    None if ``current + [y]`` is rejected, else a callable that undoes what
+    accepting ``y`` recorded in the caller's state.  Returns the first set of
+    ``target_size`` elements, or else the first largest set seen, with the
+    reached flag.
+    """
+    current: list[int] = []
     best: list[int] = []
 
-    def extend(current: list[int], start: int) -> list[int] | None:
+    def extend(start: int) -> bool:
         nonlocal best
         if len(current) > len(best):
             best = list(current)
         if len(current) >= target_size:
-            return current
+            return True
+        if start >= N:
+            return False
+        # Every candidate here has the same size, so one check fires exactly
+        # where a check per candidate would.
+        check("enumeration", workload(len(current) + 1))
+        admit = node(current)
         for y in range(start, N):
-            cand = current + [y]
-            ok, _ = is_bt_set(cand, N, t)
-            if ok:
-                hit = extend(cand, y + 1)
-                if hit is not None:
-                    return hit
-        return None
+            undo = admit(y)
+            if undo is None:
+                continue
+            current.append(y)
+            if extend(y + 1):
+                return True
+            current.pop()
+            undo()
+        return False
 
-    found = extend([], 0)
-    if found is not None:
-        return BtSet(N, tuple(found), t, "search"), True
-    return BtSet(N, tuple(best), t, "search"), False
+    if extend(0):
+        return current, True
+    return best, False
+
+
+def search_bt_set(N: int, t: int, target_size: int) -> tuple[BtSet, bool]:
+    """Deterministic backtracking for a B_t set of the requested size; returns
+    the first set found or the maximum-size set seen, with a reached flag.
+
+    A candidate ``y`` only adds the t-multisets that contain it, with sums
+    ``j y + sigma`` for ``sigma`` a (t-j)-multiset sum of the accepted set, so
+    only those are tested against the stored t-sums."""
+    _require_positive(N=N, t=t, target_size=target_size)
+    # sums[s]: the s-multiset sums of the accepted set, for s < t.  They are
+    # distinct, as a B_t set is also a B_s set.
+    sums: list[list[int]] = [[0]] + [[] for _ in range(t - 1)]
+    tsums: set[int] = set()
+
+    def admit(y: int):
+        top = sums[t - 1]
+        for sigma in top:  # most candidates fail here, so test these first
+            if (y + sigma) % N in tsums:
+                return None
+        # The sums y + sigma are distinct because the (t-1)-sums are.
+        fresh = {(y + sigma) % N for sigma in top}
+        for j in range(2, t + 1):
+            jy = j * y
+            for sigma in sums[t - j]:
+                v = (jy + sigma) % N
+                if v in tsums or v in fresh:
+                    return None
+                fresh.add(v)
+        marks = [len(level) for level in sums]
+        for s in range(t - 1, 0, -1):  # downwards: sums[s - j] is still old
+            sums[s].extend((j * y + sigma) % N for j in range(1, s + 1) for sigma in sums[s - j])
+        tsums.update(fresh)
+
+        def undo() -> None:
+            tsums.difference_update(fresh)
+            for level, mark in zip(sums, marks):
+                del level[mark:]
+
+        return undo
+
+    found, reached = _backtrack(
+        N, target_size, lambda size: comb(size + t - 1, t), lambda current: admit
+    )
+    ok, witness = is_bt_set(found, N, t)
+    if not ok:
+        raise OracleDisagreement(
+            f"incremental B_{t} search returned {found} over Z_{N}; "
+            f"the full check finds {witness[0]} and {witness[1]} with one sum"
+        )
+    return BtSet(N, tuple(found), t, "search"), reached
 
 
 def bt_shift_to_splitter(bt: BtSet) -> SplitterSet:
@@ -189,16 +262,13 @@ class SidonParams:
 
 def _trivial_solution(cs: tuple[int, int, int, int], xs: tuple[int, int, int, int]) -> bool:
     # Trivial means: the nonzero-coefficient indices admit a partition into
-    # two zero-coefficient-sum parts with x constant on each part.
-    nz = [i for i in range(4) if cs[i] != 0]
-    for mask in range(1 << len(nz)):
-        part = [nz[b] for b in range(len(nz)) if mask >> b & 1]
-        rest = [i for i in nz if i not in part]
-        if sum(cs[i] for i in part) != 0:
-            continue
-        if len({xs[i] for i in part}) <= 1 and len({xs[i] for i in rest}) <= 1:
-            return True
-    return False
+    # two zero-coefficient-sum parts with x constant on each part.  So x takes
+    # one value there, or two values whose coefficients each sum to zero.
+    weight: dict[int, int] = {}
+    for c, x in zip(cs, xs):
+        if c:
+            weight[x] = weight.get(x, 0) + c
+    return len(weight) == 1 or (len(weight) == 2 and not any(weight.values()))
 
 
 def is_kfold_sidon(
@@ -207,6 +277,7 @@ def is_kfold_sidon(
     """Check that every length-4 relation with coefficients in [-k, k] summing
     to zero has only trivial solutions; returns (coefficients, solution) on
     failure."""
+    _require_positive(N=N, k=k)
     if gcd(N, factorial(k)) != 1:
         raise DomainError("N must be coprime to k!")
     A = sorted(set(int(a) % N for a in elements))
@@ -233,32 +304,82 @@ def is_kfold_sidon(
     return True, None
 
 
+def _sidon_relations(k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The relations that a new element ``y`` of a k-fold Sidon set must
+    not satisfy, as pairs ``(s, others)``: ``s y + sum(c x) == 0`` over the
+    coefficients ``c`` in ``others`` and set elements ``x``.
+
+    A new nontrivial solution has ``y`` at a nonzero coefficient.  Solutions
+    and triviality are invariant under permuting positions and negating, so
+    one vector per class is enough, with ``y`` in position 1 and coefficient
+    ``c1 > 0``.  Vectors of support 2 are skipped: ``c x1 - c x2 == 0`` forces
+    ``x1 == x2``, as ``c`` is a unit mod N when ``gcd(N, k!) == 1``.  If ``y``
+    fills positions of coefficient sum ``s`` and set elements the others, the
+    solution is trivial exactly when ``s == 0``: if ``s != 0``, y's part has a
+    nonzero sum; if ``s == 0``, y fills two or more positions, leaving at most
+    two others, whose coefficients ``c`` and ``-c`` force equal elements.  One
+    other position never has a solution, as it would hold ``y``.
+    """
+    values = [c for c in range(-k, k + 1) if c]
+    found = set()
+    for c1 in range(1, k + 1):
+        for r in (2, 3):
+            for rest in combinations_with_replacement(values, r):
+                if c1 + sum(rest) != 0:
+                    continue
+                for mask in range(1 << r):
+                    s = c1 + sum(c for i, c in enumerate(rest) if mask >> i & 1)
+                    others = [c for i, c in enumerate(rest) if not mask >> i & 1]
+                    if s and len(others) >= 2:
+                        if s < 0:
+                            s, others = -s, [-c for c in others]
+                        found.add((s, tuple(sorted(others))))
+    return sorted(found)
+
+
+def _sidon_blocked(
+    accepted: Sequence[int], N: int, relations: Sequence[tuple[int, tuple[int, ...]]]
+) -> list[tuple[int, set[int]]]:
+    """For each multiplier ``s`` of :func:`_sidon_relations`, the residues that
+    ``s y`` must avoid for ``y``, not in the k-fold Sidon set ``accepted``, to
+    extend it."""
+    blocked: dict[int, set[int]] = {}
+    for s, others in relations:
+        values = {0}
+        for c in others:
+            values = {(v - c * x) % N for v in values for x in accepted}
+        blocked.setdefault(s, set()).update(values)
+    return list(blocked.items())
+
+
+def _sidon_admits(blocked: Sequence[tuple[int, set[int]]], y: int, N: int) -> bool:
+    return all(s * y % N not in values for s, values in blocked)
+
+
+def _no_undo() -> None:
+    pass
+
+
 def search_kfold_sidon(N: int, k: int, target_size: int) -> tuple[SidonParams, bool]:
     """Deterministic backtracking over Z_N in increasing order, extending while
     the k-fold Sidon property holds."""
+    _require_positive(N=N, k=k, target_size=target_size)
     if gcd(N, factorial(k)) != 1:
         raise DomainError("N must be coprime to k!")
-    best: list[int] = []
+    relations = _sidon_relations(k)
 
-    def extend(current: list[int], start: int) -> list[int] | None:
-        nonlocal best
-        if len(current) > len(best):
-            best = list(current)
-        if len(current) >= target_size:
-            return current
-        for y in range(start, N):
-            cand = current + [y]
-            ok, _ = is_kfold_sidon(cand, N, k)
-            if ok:
-                hit = extend(cand, y + 1)
-                if hit is not None:
-                    return hit
-        return None
+    def node(current: list[int]):
+        blocked = _sidon_blocked(current, N, relations)
+        return lambda y: _no_undo if _sidon_admits(blocked, y, N) else None
 
-    found = extend([], 0)
-    if found is not None:
-        return SidonParams(N, k, tuple(found)), True
-    return SidonParams(N, k, tuple(best)), False
+    found, reached = _backtrack(N, target_size, lambda size: size**4 * (2 * k + 1) ** 3, node)
+    ok, witness = is_kfold_sidon(found, N, k)
+    if not ok:
+        raise OracleDisagreement(
+            f"incremental {k}-fold Sidon search returned {found} over Z_{N}; "
+            f"the full check finds coefficients {witness[0]} with solution {witness[1]}"
+        )
+    return SidonParams(N, k, tuple(found)), reached
 
 
 def kfold_sidon_splitter(params: SidonParams, kplus: int, kminus: int) -> SplitterSet:

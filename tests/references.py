@@ -4,11 +4,25 @@ The package computes kernel volumes by a subgroup-chain walk
 (:func:`magball.lattice.kernel_lattice`); these are independent routes to the
 same numbers: the subgroup order by breadth-first closure, and by the Smith
 form of the relation matrix.
+
+The package's B_t and k-fold Sidon searches test each candidate only against
+the sums and relations it adds; the references below re-run the full public
+checker on every candidate set, and triviality of a Sidon solution is decided
+by trying every partition.
 """
 
 from typing import Sequence
 
-from magball import DomainError, GroupElement, GroupSpec, smith_normal_form
+from magball import (
+    BtSet,
+    DomainError,
+    GroupElement,
+    GroupSpec,
+    SidonParams,
+    is_bt_set,
+    is_kfold_sidon,
+    smith_normal_form,
+)
 from magball.limits import check
 
 
@@ -61,3 +75,53 @@ def subgroup_order_by_diagonalization(
     if quotient == 0:
         raise DomainError("relation matrix lost rank")
     return group.order // quotient
+
+
+def _backtrack_by_recheck(N: int, target_size: int, accepts) -> tuple[list[int], bool]:
+    best: list[int] = []
+
+    def extend(current: list[int], start: int) -> list[int] | None:
+        nonlocal best
+        if len(current) > len(best):
+            best = list(current)
+        if len(current) >= target_size:
+            return current
+        for y in range(start, N):
+            cand = current + [y]
+            if accepts(cand):
+                hit = extend(cand, y + 1)
+                if hit is not None:
+                    return hit
+        return None
+
+    found = extend([], 0)
+    return (found, True) if found is not None else (best, False)
+
+
+def search_bt_set_by_recheck(N: int, t: int, target_size: int) -> tuple[BtSet, bool]:
+    """Backtracking for a B_t set that runs :func:`is_bt_set` on every candidate set."""
+    found, reached = _backtrack_by_recheck(N, target_size, lambda cand: is_bt_set(cand, N, t)[0])
+    return BtSet(N, tuple(found), t, "search"), reached
+
+
+def search_kfold_sidon_by_recheck(N: int, k: int, target_size: int) -> tuple[SidonParams, bool]:
+    """Backtracking for a k-fold Sidon set that runs :func:`is_kfold_sidon` on
+    every candidate set."""
+    found, reached = _backtrack_by_recheck(
+        N, target_size, lambda cand: is_kfold_sidon(cand, N, k)[0]
+    )
+    return SidonParams(N, k, tuple(found)), reached
+
+
+def trivial_solution_by_partitions(cs: Sequence[int], xs: Sequence[int]) -> bool:
+    """Whether the nonzero-coefficient positions split into two parts, each with
+    coefficient sum zero and x constant on it."""
+    nz = [i for i in range(len(cs)) if cs[i] != 0]
+    for mask in range(1 << len(nz)):
+        part = [nz[b] for b in range(len(nz)) if mask >> b & 1]
+        rest = [i for i in nz if i not in part]
+        if sum(cs[i] for i in part) != 0:
+            continue
+        if len({xs[i] for i in part}) <= 1 and len({xs[i] for i in rest}) <= 1:
+            return True
+    return False

@@ -366,3 +366,51 @@ class TestSearchCli:
                      "--target-size", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["elements"] == [0, 1, 3]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--kind", "bt", "--N", "10", "--t", "-1", "--target-size", "3"],
+            ["--kind", "bt", "--N", "10", "--t", "0", "--target-size", "3"],
+            ["--kind", "bt", "--N", "0", "--target-size", "3"],
+            ["--kind", "sidon", "--N", "-7", "--target-size", "3"],
+            ["--kind", "sidon", "--N", "7", "--k", "0", "--target-size", "3"],
+            ["--kind", "bt", "--N", "10", "--target-size", "-1"],
+            ["--kind", "sidon", "--N", "7", "--target-size", "0"],
+        ],
+    )
+    def test_bad_arguments_are_exit_2(self, tmp_path, args):
+        proc = run_cli(["search", *args], cwd=str(tmp_path))
+        assert proc.returncode == 2
+        assert "need " in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_bad_sidon_family_arguments_are_exit_2(self, tmp_path):
+        proc = run_cli(
+            ["construct", "--family", "sidon-2fold", "--N", "31", "--k", "0",
+             "--out-dir", str(tmp_path)],
+            cwd=str(tmp_path),
+        )
+        assert proc.returncode == 2
+        assert "need k >= 1" in proc.stderr and "Traceback" not in proc.stderr
+
+    # The enumeration workload of the full check of the last element's set:
+    # 8^4 (2k+1)^3 for an 8-element 2-fold Sidon set, C(9+1, 2) for a
+    # 9-element B_2 set.  One below it stops the search; at it, the search
+    # finishes with the result it gives under the default limits.
+    @pytest.mark.parametrize(
+        "args, load, elements",
+        [
+            (["--kind", "sidon", "--N", "301", "--k", "2", "--target-size", "8"],
+             8**4 * 5**3, [0, 1, 4, 11, 27, 39, 48, 84]),
+            (["--kind", "bt", "--N", "80", "--t", "2", "--target-size", "9"],
+             45, [0, 1, 3, 9, 22, 27, 34, 38, 66]),
+        ],
+    )
+    def test_enumeration_limit_stops_at_the_last_element(self, capsys, args, load, elements):
+        limit = '{"enumeration": %d}'
+        assert main(["--limits", limit % (load - 1), "search", *args]) == 2
+        assert f"enumeration workload {load} exceeds limit {load - 1}" in capsys.readouterr().err
+        assert main(["--limits", limit % load, "search", *args]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["elements"] == elements and out["reached_target"]

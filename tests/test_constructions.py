@@ -1,14 +1,17 @@
 import random
 from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
-from math import comb, log
+from itertools import product
+from math import comb, factorial, gcd, log
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from magball import (
     BallSpec,
     DomainError,
     GroupSpec,
+    OracleDisagreement,
     bch_code,
     behrend_ruzsa_splitter,
     behrend_sphere_sets,
@@ -34,8 +37,22 @@ from magball import (
     verify_covering_geometric,
     verify_packing_geometric,
 )
-from magball.constructions import LinearCode, _floor_ln, min_distance
-from references import subgroup_order
+from magball.cli import main
+from magball.constructions import (
+    LinearCode,
+    _floor_ln,
+    _sidon_admits,
+    _sidon_blocked,
+    _sidon_relations,
+    _trivial_solution,
+    min_distance,
+)
+from references import (
+    search_bt_set_by_recheck,
+    search_kfold_sidon_by_recheck,
+    subgroup_order,
+    trivial_solution_by_partitions,
+)
 
 
 class TestBtSets:
@@ -192,6 +209,137 @@ class TestKfoldSidon:
             kfold_sidon_splitter(params, 2, 0)  # kplus exceeds the fold
         s = kfold_sidon_splitter(params, 1, 1)
         assert s.group.moduli == (5, 11)
+
+
+def _sidon_moduli(k: int, top: int):
+    return st.integers(1, top).filter(lambda N: gcd(N, factorial(k)) == 1)
+
+
+class TestIncrementalSearch:
+    """The searches test a candidate only against what it adds; the
+    references re-run the full checker on every candidate set."""
+
+    @pytest.mark.parametrize(
+        "search, args, elements, reached",
+        [
+            (search_kfold_sidon, (301, 2, 8), (0, 1, 4, 11, 27, 39, 48, 84), True),
+            (search_kfold_sidon, (13, 1, 5), (0, 1, 3, 9), False),
+            (search_bt_set, (80, 2, 9), (0, 1, 3, 9, 22, 27, 34, 38, 66), True),
+            (search_bt_set, (30, 2, 7), (0, 1, 3, 7, 12), False),
+        ],
+    )
+    def test_desk_scale_results(self, search, args, elements, reached):
+        found, hit = search(*args)
+        assert (found.elements, hit) == (elements, reached)
+
+    # The references re-check every candidate set in full, so an exhaustive
+    # search soon takes them seconds: for B_2 beyond N = 26 at target 7, and
+    # for 2- and 3-fold Sidon sets beyond target 3.  Targets stay below that.
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([1, 2, 3]), st.integers(1, 7))
+    def test_bt_search_matches_reference(self, N, t, target):
+        assume(t != 2 or target <= 5 or N <= 26)
+        found, reached = search_bt_set(N, t, target)
+        ref, ref_reached = search_bt_set_by_recheck(N, t, target)
+        assert (found.elements, reached) == (ref.elements, ref_reached)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_sidon_search_matches_reference(self, data):
+        k = data.draw(st.sampled_from([1, 2, 3]))
+        N = data.draw(_sidon_moduli(k, 60))
+        target = data.draw(st.integers(1, 4 if k == 1 else 3))
+        found, reached = search_kfold_sidon(N, k, target)
+        ref, ref_reached = search_kfold_sidon_by_recheck(N, k, target)
+        assert (found.elements, reached) == (ref.elements, ref_reached)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sidon_shortcut_matches_full_check(self, data):
+        k = data.draw(st.sampled_from([1, 2, 3]))
+        N = data.draw(_sidon_moduli(k, 40))
+        order = data.draw(st.permutations(range(N)))
+        size = data.draw(st.integers(0, 5))
+        accepted: list[int] = []
+        for x in order:  # a random k-fold Sidon set, grown greedily
+            if len(accepted) == size:
+                break
+            if is_kfold_sidon(accepted + [x], N, k)[0]:
+                accepted.append(x)
+        blocked = _sidon_blocked(accepted, N, _sidon_relations(k))
+        for y in data.draw(st.lists(st.integers(0, N - 1), max_size=6)):
+            if y not in accepted:
+                expected = is_kfold_sidon(accepted + [y], N, k)[0]
+                assert _sidon_admits(blocked, y, N) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sidon_relations_cover_every_vector(self, k):
+        # Each class (vector up to permutation and sign, y at one nonzero
+        # coefficient) with support >= 3 appears once, before y's other
+        # positions are folded into s.
+        vectors = [
+            c for c in product(range(-k, k + 1), repeat=4)
+            if sum(c) == 0 and sum(1 for x in c if x) >= 3
+        ]
+        expected = set()
+        for c in vectors:
+            for i in range(4):
+                if c[i]:
+                    sign = 1 if c[i] > 0 else -1
+                    others = sorted(sign * c[j] for j in range(4) if j != i and c[j])
+                    expected.add((sign * c[i], tuple(others)))
+        folded = set()
+        for c1, rest in expected:
+            for mask in range(1 << len(rest)):
+                s = c1 + sum(c for b, c in enumerate(rest) if mask >> b & 1)
+                others = [c for b, c in enumerate(rest) if not mask >> b & 1]
+                if s and len(others) >= 2:
+                    sign = 1 if s > 0 else -1
+                    folded.add((sign * s, tuple(sorted(sign * c for c in others))))
+        assert sorted(folded) == _sidon_relations(k)
+
+    def test_trivial_solution_matches_partitions(self):
+        # Every coefficient vector of fold 3 against every equality pattern.
+        for cs in product(range(-3, 4), repeat=4):
+            if sum(cs) or not any(cs):
+                continue
+            for xs in product(range(4), repeat=4):
+                if all(xs[i] <= max(xs[:i], default=-1) + 1 for i in range(4)):
+                    assert _trivial_solution(cs, xs) == trivial_solution_by_partitions(cs, xs)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: search_bt_set(0, 2, 3),
+            lambda: search_bt_set(10, 0, 3),
+            lambda: search_bt_set(10, -1, 3),
+            lambda: search_bt_set(10, 2, 0),
+            lambda: search_kfold_sidon(-7, 1, 3),
+            lambda: search_kfold_sidon(7, 0, 3),
+            lambda: search_kfold_sidon(7, 1, -1),
+            lambda: is_bt_set([0, 1], 0, 2),
+            lambda: is_bt_set([0, 1], 10, -1),
+            lambda: is_kfold_sidon([0, 1], 7, 0),
+        ],
+    )
+    def test_bad_arguments(self, call):
+        with pytest.raises(DomainError, match="need "):
+            call()
+
+    def test_disagreement_with_the_full_check(self, monkeypatch, capsys):
+        import magball.constructions as constructions
+
+        monkeypatch.setattr(constructions, "is_bt_set", lambda *a: (False, ((0, 0), (1, 2))))
+        with pytest.raises(OracleDisagreement):
+            search_bt_set(8, 2, 3)
+        monkeypatch.setattr(
+            constructions, "is_kfold_sidon", lambda *a: (False, ((1, 1, -1, -1), (0, 3, 1, 2)))
+        )
+        with pytest.raises(OracleDisagreement):
+            search_kfold_sidon(7, 1, 3)
+        assert main(["search", "--kind", "sidon", "--N", "7", "--k", "1",
+                     "--target-size", "3"]) == 3
+        assert "oracle disagreement" in capsys.readouterr().err
 
 
 class TestBehrend:
