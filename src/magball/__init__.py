@@ -11,7 +11,7 @@ from .algebra import (
     group_neg,
     scalar_mul,
 )
-from .ball import BallSpec, ball_contains, ball_size, enumerate_ball
+from .ball import BallSpec, ball_contains, ball_images, ball_size, enumerate_ball
 from .codec import (
     ModPDecoderContext,
     S2DecoderContext,

@@ -4,8 +4,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from math import comb
+from operator import add, mod
 from typing import Iterator, Sequence
 
 from .errors import DomainError
@@ -30,6 +30,13 @@ class BallSpec:
     def nonzero_values(self) -> tuple[int, ...]:
         return tuple(range(-self.kminus, 0)) + tuple(range(1, self.kplus + 1))
 
+    def vector(self, support: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
+        """The length-n vector holding ``values`` at the positions ``support``."""
+        vec = [0] * self.n
+        for pos, v in zip(support, values):
+            vec[pos] = v
+        return tuple(vec)
+
     def to_json(self) -> dict:
         return {"n": self.n, "t": self.t, "kplus": self.kplus, "kminus": self.kminus}
 
@@ -44,19 +51,59 @@ def ball_size(spec: BallSpec) -> int:
     return sum(comb(spec.n, i) * k**i for i in range(spec.t + 1))
 
 
+def ball_images(
+    spec: BallSpec, rows: Sequence[Sequence[int]], moduli: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """``(support, values, image)`` of every ball vector ``e``, zero vector
+    first, in :func:`enumerate_ball` order: ``e`` holds ``values`` at the
+    positions ``support``, and ``image`` is ``sum e_i rows[i]`` modulo
+    ``moduli``, entry by entry.
+
+    Each weight is walked depth first over its supports.  A support prefix
+    holds the partial images of all its value tuples, and a vector's image is
+    its prefix's plus one precomputed contribution ``v * rows[pos]``, so each
+    vector costs one vector addition.  The walk keeps one prefix list per
+    level, at most ``(kplus + kminus)^(t-1)`` entries each, and checks no
+    limit: each caller bounds it by the limit its result stands for.
+    """
+    moduli = tuple(moduli)
+    if len(rows) != spec.n or any(len(row) != len(moduli) for row in rows):
+        raise DomainError(f"need {spec.n} rows of {len(moduli)} entries")
+    if any(m < 1 for m in moduli):
+        raise DomainError("moduli must be positive")
+    steps = [
+        [(v, tuple(v * x % m for x, m in zip(row, moduli))) for v in spec.nonzero_values()]
+        for row in rows
+    ]
+    n = spec.n
+
+    def walk(support, prefixes, start, left):
+        if left == 1:
+            for pos in range(start, n):
+                here = support + (pos,)
+                for vals, img in prefixes:
+                    for v, step in steps[pos]:
+                        yield here, vals + (v,), tuple(map(mod, map(add, img, step), moduli))
+            return
+        for pos in range(start, n - left + 1):
+            grown = [
+                (vals + (v,), tuple(map(add, img, step)))
+                for vals, img in prefixes
+                for v, step in steps[pos]
+            ]
+            yield from walk(support + (pos,), grown, pos + 1, left - 1)
+
+    zero = (0,) * len(moduli)
+    yield (), (), zero
+    for w in range(1, spec.t + 1):
+        yield from walk((), [((), zero)], 0, w)
+
+
 def enumerate_ball(spec: BallSpec) -> Iterator[tuple[int, ...]]:
     """Ball vectors, weight-major, support lexicographic, values lexicographic."""
     check("enumeration", ball_size(spec))
-    values = sorted(spec.nonzero_values())
-    zero = (0,) * spec.n
-    yield zero
-    for w in range(1, spec.t + 1):
-        for support in combinations(range(spec.n), w):
-            for vals in product(values, repeat=w):
-                vec = list(zero)
-                for pos, v in zip(support, vals):
-                    vec[pos] = v
-                yield tuple(vec)
+    for support, values, _ in ball_images(spec, [()] * spec.n, ()):
+        yield spec.vector(support, values)
 
 
 def ball_contains(spec: BallSpec, v: Sequence[int]) -> bool:

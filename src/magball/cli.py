@@ -420,25 +420,21 @@ def cmd_table(args) -> int:
 
 def cmd_search(args) -> int:
     if args.kind == "sidon":
-        result, reached = search_kfold_sidon(args.N, args.k, args.target_size)
-        payload = {
-            "kind": "sidon",
-            "N": args.N,
-            "k": args.k,
-            "elements": list(result.elements),
-            "size": len(result.elements),
-            "reached_target": reached,
-        }
+        own, other, default, search = "k", "t", 1, search_kfold_sidon
     else:
-        result, reached = search_bt_set(args.N, args.t, args.target_size)
-        payload = {
-            "kind": "bt",
-            "N": args.N,
-            "t": args.t,
-            "elements": list(result.elements),
-            "size": len(result.elements),
-            "reached_target": reached,
-        }
+        own, other, default, search = "t", "k", 2, search_bt_set
+    if getattr(args, other) is not None:
+        raise DomainError(f"--{other} does not apply to --kind {args.kind}")
+    value = default if getattr(args, own) is None else getattr(args, own)
+    result, reached = search(args.N, value, args.target_size)
+    payload = {
+        "kind": args.kind,
+        "N": args.N,
+        own: value,
+        "elements": list(result.elements),
+        "size": len(result.elements),
+        "reached_target": reached,
+    }
     print(_dump(payload), end="")
     return 0
 
@@ -521,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     sea = sub.add_parser("search", help="exhaustive B_t / k-fold Sidon search")
     sea.add_argument("--kind", required=True, choices=["sidon", "bt"])
     sea.add_argument("--N", type=int, required=True)
-    sea.add_argument("--k", type=int, default=1)
-    sea.add_argument("--t", type=int, default=2)
+    sea.add_argument("--k", type=int, help="Sidon fold (default 1)")
+    sea.add_argument("--t", type=int, help="B_t order (default 2)")
     sea.add_argument("--target-size", type=int, required=True)
     sea.set_defaults(func=cmd_search)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .algebra import FieldElement, FieldSpec, GroupSpec
-from .ball import BallSpec, ball_size
+from .ball import BallSpec, ball_images, ball_size
 from .constructions import LinearCode, S2Data
 from .errors import DomainError
 from .limits import check
@@ -302,41 +302,24 @@ def build_syndrome_decoder(code: LinearCode, kplus: int, kminus: int) -> Syndrom
     :func:`~magball.ball.enumerate_ball` order.
 
     The code lattice packs that ball, so its vectors lie in distinct cosets
-    and a repeated syndrome means the declared ``d`` is wrong.  Each weight
-    w+1 vector extends a weight-w one, so its syndrome is that vector's plus
-    one precomputed column contribution ``v * H[:, j] mod p``.
+    and a repeated syndrome means the declared ``d`` is wrong.  A vector's
+    syndrome is its image under the columns of ``H`` modulo ``p``.
     """
     if kplus + kminus >= code.p:
         raise DomainError("need kplus + kminus < p")
     ball = BallSpec(code.n, (code.d - 1) // 2, kplus, kminus)
     check("syndrome_table", ball_size(ball))
-    p, values = code.p, ball.nonzero_values()
-    columns = [
-        {v: tuple(v * h[j] % p for h in code.parity_check) for v in values}
-        for j in range(code.n)
-    ]
-    zero = (0,) * (code.n - code.k)
-    leaders: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {zero: ()}
-    # One group per support, in enumeration order: (last position, entries).
-    groups: list[tuple[int, list]] = [(-1, [((), zero)])]
-    for _ in range(ball.t):
-        grown = []
-        for last, entries in groups:
-            for j in range(last + 1, code.n):
-                group = []
-                for err, syn in entries:
-                    for v in values:
-                        e = err + ((j, v),)
-                        s = tuple((a + b) % p for a, b in zip(syn, columns[j][v]))
-                        first = leaders.setdefault(s, e)
-                        if first is not e:
-                            raise DomainError(
-                                f"ball vectors {dict(first)} and {dict(e)} share a syndrome: "
-                                f"the code's minimum distance is below the declared d = {code.d}"
-                            )
-                        group.append((e, s))
-                grown.append((j, group))
-        groups = grown
+    H = code.parity_check
+    columns = [[h[j] for h in H] for j in range(code.n)]
+    leaders: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+    for support, values, syn in ball_images(ball, columns, [code.p] * len(H)):
+        e = tuple(zip(support, values))
+        first = leaders.setdefault(syn, e)
+        if first is not e:
+            raise DomainError(
+                f"ball vectors {dict(first)} and {dict(e)} share a syndrome: "
+                f"the code's minimum distance is below the declared d = {code.d}"
+            )
     return SyndromeTable(leaders)
 
 

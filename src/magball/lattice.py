@@ -3,20 +3,21 @@ Hermite and Smith normal forms, and geometric packing/covering oracles.
 
 Both geometric oracles label each ball point by its coset of ``Z^n / L``,
 read off the Smith form of the basis: the ball packs iff the labels are
-distinct and covers iff they reach all ``vol(L)`` cosets.  They work on the
-lattice, not on group images, so they stay independent of the splitting
-checkers and the two act as mutual cross-checks.  All arithmetic is exact.
+distinct and covers iff they reach all ``vol(L)`` cosets.  They walk the
+ball as the splitting checkers do (:func:`~magball.ball.ball_images`), but
+their labels come from the lattice's Smith form, not from group images, so
+the two act as mutual cross-checks.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 from math import lcm, prod
 from typing import Sequence
 
-from .ball import BallSpec, ball_size, enumerate_ball
+from .ball import BallSpec, ball_images, ball_size
 from .errors import DomainError
 from .limits import check
 from .splitting import SplitterSet
@@ -354,51 +355,44 @@ class GeometricReport:
         return {"verdict": self.verdict, "witness": witness}
 
 
-def _coset_labeller(basis: LatticeBasis, ball: BallSpec):
+def _smith_coordinates(basis: LatticeBasis, ball: BallSpec):
     """Coset labels of ``Z^n / basis`` from its Smith form ``U B V = D``:
     ``x`` and ``y`` are congruent iff ``x V`` and ``y V`` agree modulo the
     diagonal.  Unit invariants always give 0, so only the non-unit ones,
-    ``mods``, are kept.  Returns ``(mods, label, inverse)``, where
+    ``mods``, are kept.  Returns ``(rows, mods, inverse)``: a ball point's
+    label is its :func:`ball_images` image under ``rows`` and ``mods``, and
     ``cand @ inverse`` represents the coset labelled ``cand``."""
     if ball.n != basis.n:
         raise DomainError(f"ball n = {ball.n} != lattice n = {basis.n}")
+    check("enumeration", ball_size(ball))
     _, D, V, _, Vinv = _snf_full([list(r) for r in basis.rows])
     keep = [c for c in range(basis.n) if D[c][c] != 1]
-    mods = [D[c][c] for c in keep]
-    rows = [[V[i][c] % D[c][c] for c in keep] for i in range(basis.n)]
-
-    def label(vec: Sequence[int]) -> tuple[int, ...]:
-        acc = [0] * len(mods)
-        for i in compress(range(basis.n), vec):
-            acc = [a + vec[i] * r for a, r in zip(acc, rows[i])]
-        return tuple(a % d for a, d in zip(acc, mods))
-
-    return mods, label, [Vinv[c] for c in keep]
+    rows = [[V[i][c] for c in keep] for i in range(basis.n)]
+    return rows, [D[c][c] for c in keep], [Vinv[c] for c in keep]
 
 
 def verify_packing_geometric(basis: LatticeBasis, ball: BallSpec) -> GeometricReport:
     """The ball's translates are disjoint iff its points lie in distinct
     cosets.  Witness: the first point ``b_i`` (in :func:`enumerate_ball`
     order) whose coset holds a later point, with the first such ``b_j``."""
-    _, label, _ = _coset_labeller(basis, ball)
-    first: dict[tuple[int, ...], int] = {}
-    pair = None
-    for j, b in enumerate(enumerate_ball(ball)):
-        i = first.setdefault(label(b), j)
-        if i < j and (pair is None or i < pair[0]):
-            pair = (i, j)
-    if pair is None:
+    rows, mods, _ = _smith_coordinates(basis, ball)
+    first: dict[tuple[int, ...], tuple] = {}
+    witness = None
+    for j, (support, values, label) in enumerate(ball_images(ball, rows, mods)):
+        i, i_support, i_values = first.setdefault(label, (j, support, values))
+        if i < j and (witness is None or i < witness[0]):
+            witness = (i, ball.vector(i_support, i_values), ball.vector(support, values))
+    if witness is None:
         return GeometricReport("verified")
-    witness = tuple(b for k, b in zip(range(pair[1] + 1), enumerate_ball(ball)) if k in pair)
-    return GeometricReport("refuted", witness=witness)
+    return GeometricReport("refuted", witness=witness[1:])
 
 
 def verify_covering_geometric(basis: LatticeBasis, ball: BallSpec) -> GeometricReport:
     """Every coset must hold a ball point; the witness represents the first
     uncovered coset label in lexicographic order."""
     check("cosets", basis.volume)
-    mods, label, inverse = _coset_labeller(basis, ball)
-    covered = {label(b) for b in enumerate_ball(ball)}
+    rows, mods, inverse = _smith_coordinates(basis, ball)
+    covered = {label for _, _, label in ball_images(ball, rows, mods)}
     if len(covered) == basis.volume:
         return GeometricReport("verified")
     for cand in product(*(range(d) for d in mods)):

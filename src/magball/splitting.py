@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .algebra import GroupElement, GroupSpec
-from .ball import BallSpec
+from .ball import BallSpec, ball_images, ball_size
 from .errors import DomainError
 from .limits import check
 
@@ -164,53 +162,31 @@ def phi(splitter: SplitterSet, e: Sequence[int]) -> GroupElement:
     return GroupElement(splitter.group, tuple(x % m for x, m in zip(total, moduli)))
 
 
-def _unpack(support: tuple[int, ...], vals: tuple[int, ...], n: int) -> tuple[int, ...]:
-    vec = [0] * n
-    for pos, v in zip(support, vals):
-        vec[pos] = v
-    return tuple(vec)
-
-
-def _images(
-    splitter: SplitterSet,
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """``(support, values, image)`` of every weight-1..t vector, in enumeration order."""
-    moduli = splitter.group.moduli
-    rank = len(moduli)
+def _images(splitter: SplitterSet):
+    """``(support, values, image)`` of every ball vector, zero vector first."""
     rows = [s.residues for s in splitter.elements]
-    mvals = splitter.magnitudes.values()
-    for w in range(1, splitter.t + 1):
-        for support in combinations(range(splitter.n), w):
-            srows = [rows[pos] for pos in support]
-            for vals in product(mvals, repeat=w):
-                total = [0] * rank
-                for c, row in zip(vals, srows):
-                    for j in range(rank):
-                        total[j] += c * row[j]
-                yield support, vals, tuple(x % m for x, m in zip(total, moduli))
+    return ball_images(splitter.ball(), rows, splitter.group.moduli)
 
 
 def _first_event(splitter: SplitterSet) -> SplitWitness | None:
-    """The first vector in enumeration order that maps to the identity or to an
-    image an earlier vector already reached; the scan stops there."""
-    n = splitter.n
-    identity = splitter.group.identity().residues
+    """The first vector in enumeration order whose image an earlier vector
+    already reached; the scan stops there.  The zero vector comes first, so a
+    nonzero vector mapping to the identity is a ``"zero"`` event."""
+    ball = splitter.ball()
     first: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for support, vals, img in _images(splitter):
-        if img == identity:
-            return SplitWitness(kind="zero", e=_unpack(support, vals, n))
-        prev = first.get(img)
-        if prev is not None:
-            return SplitWitness(
-                kind="collision", e=_unpack(*prev, n), e_other=_unpack(support, vals, n)
-            )
-        first[img] = (support, vals)
+        entry = (support, vals)
+        prev = first.setdefault(img, entry)
+        if prev is not entry:
+            e = ball.vector(support, vals)
+            if not prev[0]:
+                return SplitWitness(kind="zero", e=e)
+            return SplitWitness(kind="collision", e=ball.vector(*prev), e_other=e)
     return None
 
 
 def _workload(splitter: SplitterSet) -> int:
-    n, t, msize = splitter.n, splitter.t, splitter.magnitudes.size
-    return sum(comb(n, w) * msize**w for w in range(1, t + 1))
+    return ball_size(splitter.ball()) - 1
 
 
 def check_partial_split(splitter: SplitterSet) -> SplitReport:
@@ -225,7 +201,6 @@ def check_complete_split(splitter: SplitterSet) -> SplitReport:
     check("enumeration", _workload(splitter))
     check("group_order", splitter.group.order)
     reachable = {img for _, _, img in _images(splitter)}
-    reachable.add(splitter.group.identity().residues)  # the zero vector
     if len(reachable) == splitter.group.order:
         return SplitReport("verified")
     for g in splitter.group.elements():
@@ -245,7 +220,6 @@ def multiplicity_histogram(splitter: SplitterSet) -> SplitReport:
     """
     check("enumeration", _workload(splitter))
     counts = Counter(img for _, _, img in _images(splitter))
-    counts[splitter.group.identity().residues] += 1  # the zero vector
     lam = max(counts.values())
     histogram = Counter(counts.values())
     histogram[0] += splitter.group.order - len(counts)

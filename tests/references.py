@@ -1,5 +1,9 @@
 """Slow reference routines that only the tests use.
 
+The package walks the error ball once, extending each vector's image from
+its prefix's (:func:`magball.ball.ball_images`); the reference enumerates it
+by nested loops over weights, supports and value tuples.
+
 The package computes kernel volumes by a subgroup-chain walk
 (:func:`magball.lattice.kernel_lattice`); these are independent routes to the
 same numbers: the subgroup order by breadth-first closure, and by the Smith
@@ -11,19 +15,37 @@ checker on every candidate set, and triviality of a Sidon solution is decided
 by trying every partition.
 """
 
-from typing import Sequence
+from itertools import combinations, product
+from typing import Iterator, Sequence
 
 from magball import (
+    BallSpec,
     BtSet,
     DomainError,
     GroupElement,
     GroupSpec,
     SidonParams,
+    ball_size,
     is_bt_set,
     is_kfold_sidon,
     smith_normal_form,
 )
 from magball.limits import check
+
+
+def enumerate_ball_by_loops(spec: BallSpec) -> Iterator[tuple[int, ...]]:
+    """Ball vectors, weight-major, support lexicographic, values lexicographic."""
+    check("enumeration", ball_size(spec))
+    values = sorted(spec.nonzero_values())
+    zero = (0,) * spec.n
+    yield zero
+    for w in range(1, spec.t + 1):
+        for support in combinations(range(spec.n), w):
+            for vals in product(values, repeat=w):
+                vec = list(zero)
+                for pos, v in zip(support, vals):
+                    vec[pos] = v
+                yield tuple(vec)
 
 
 def subgroup_order(group: GroupSpec, gens: Sequence[GroupElement]) -> int:

@@ -3,7 +3,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magball import BallSpec, DomainError, ball_contains, ball_size, enumerate_ball
+from magball import BallSpec, DomainError, ball_contains, ball_images, ball_size, enumerate_ball
+from magball.limits import limits_overridden
+from references import enumerate_ball_by_loops
 
 
 def _oracle_count(n, t, kplus, kminus):
@@ -100,3 +102,48 @@ def test_monotonicity(n, t, kplus, kminus):
         assert ball_size(BallSpec(n, t + 1, kplus, kminus)) >= base
     assert ball_size(BallSpec(n, t, kplus + 1, kminus)) >= base
     assert ball_size(BallSpec(n, t, kplus + 1, kminus + 1)) >= base
+
+
+@given(
+    data=st.data(),
+    n=st.integers(1, 6),
+    kplus=st.integers(1, 3),
+    rank=st.integers(1, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_ball_images_against_nested_loops(data, n, kplus, rank):
+    t = data.draw(st.integers(0, n), label="t")
+    kminus = data.draw(st.integers(0, kplus), label="kminus")
+    moduli = data.draw(st.lists(st.integers(1, 12), min_size=rank, max_size=rank), label="moduli")
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-30, 30), min_size=rank, max_size=rank), min_size=n, max_size=n
+        ),
+        label="rows",
+    )
+    spec = BallSpec(n, t, kplus, kminus)
+    walk = list(ball_images(spec, rows, moduli))
+    assert [spec.vector(s, v) for s, v, _ in walk] == list(enumerate_ball_by_loops(spec))
+    for support, values, image in walk:
+        assert len(support) == len(values) and list(support) == sorted(set(support))
+        e = spec.vector(support, values)
+        direct = tuple(
+            sum(e[i] * rows[i][j] for i in range(n)) % m for j, m in enumerate(moduli)
+        )
+        assert image == direct
+
+
+def test_ball_images_checks_no_limit():
+    spec = BallSpec(8, 2, 1, 1)
+    with limits_overridden(enumeration=1):
+        assert sum(1 for _ in ball_images(spec, [(1,)] * 8, (5,))) == 129
+
+
+def test_ball_images_rejects_malformed_rows():
+    spec = BallSpec(3, 1, 1, 0)
+    with pytest.raises(DomainError):
+        list(ball_images(spec, [(1,)] * 2, (5,)))
+    with pytest.raises(DomainError):
+        list(ball_images(spec, [(1, 2)] * 3, (5,)))
+    with pytest.raises(DomainError):
+        list(ball_images(spec, [(1,)] * 3, (0,)))

@@ -385,6 +385,30 @@ class TestSearchCli:
         assert "need " in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--kind", "bt", "--N", "10", "--k", "0", "--target-size", "3"], "--k"),
+            (["--kind", "sidon", "--N", "7", "--t", "-5", "--target-size", "3"], "--t"),
+            (["--kind", "sidon", "--N", "7", "--t", "2", "--target-size", "3"], "--t"),
+        ],
+    )
+    def test_the_other_kinds_flag_is_exit_2(self, tmp_path, args, flag):
+        proc = run_cli(["search", *args], cwd=str(tmp_path))
+        assert proc.returncode == 2
+        assert f"{flag} does not apply" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "kind, N, key, default",
+        [("bt", "8", "t", 2), ("sidon", "7", "k", 1)],
+    )
+    def test_own_flag_defaults(self, capsys, kind, N, key, default):
+        assert main(["search", "--kind", kind, "--N", N, "--target-size", "3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out[key] == default and out["elements"] == [0, 1, 3]
+        assert ("k" if key == "t" else "t") not in out
+
     def test_bad_sidon_family_arguments_are_exit_2(self, tmp_path):
         proc = run_cli(
             ["construct", "--family", "sidon-2fold", "--N", "31", "--k", "0",

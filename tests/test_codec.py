@@ -8,6 +8,7 @@ import pytest
 from magball import (
     BallSpec,
     DomainError,
+    LinearCode,
     ModPDecoderContext,
     S2DecoderContext,
     ball_size,
@@ -21,6 +22,8 @@ from magball import (
     kernel_lattice,
     lattice_contains,
 )
+from magball.errors import ResourceLimitError
+from magball.limits import limits_overridden
 
 
 def _binary_patterns(n, t):
@@ -185,6 +188,28 @@ class TestSyndromeTable:
         code = replace(bch_code(2, 4, 5), d=7)
         with pytest.raises(DomainError, match="declared d = 7"):
             build_syndrome_decoder(code, 1, 0)
+
+
+    def test_overstated_distance_names_both_ball_vectors(self):
+        # The ternary repetition code has d = 3: (0, 0, 1) and (-1, -1, 0)
+        # differ by a codeword, so they share a syndrome in the radius-2 ball.
+        code = LinearCode(3, 3, 1, ((1, 1, 1),), ((1, 2, 0), (1, 0, 2)), 5)
+        with pytest.raises(DomainError) as info:
+            build_syndrome_decoder(code, 1, 1)
+        assert str(info.value) == (
+            "ball vectors {2: 1} and {0: -1, 1: -1} share a syndrome: "
+            "the code's minimum distance is below the declared d = 5"
+        )
+
+    def test_only_the_table_limit_bounds_the_build(self):
+        # The ball walk checks no limit of its own: the enumeration limit does
+        # not apply, and the syndrome_table limit stops the build below |B|.
+        code = bch_code(3, 2, 5)
+        with limits_overridden(enumeration=1):
+            assert len(build_syndrome_decoder(code, 1, 1).leaders) == 129
+            with limits_overridden(syndrome_table=128):
+                with pytest.raises(ResourceLimitError, match="syndrome_table workload 129"):
+                    build_syndrome_decoder(code, 1, 1)
 
 
 class TestModPDecoder:
