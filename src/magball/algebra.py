@@ -83,9 +83,6 @@ class GroupElement:
         if any(not 0 <= r < m for r, m in zip(self.residues, self.spec.moduli)):
             raise DomainError(f"unreduced residues {list(self.residues)}")
 
-    def is_identity(self) -> bool:
-        return all(r == 0 for r in self.residues)
-
     def to_json(self) -> list[int]:
         return list(self.residues)
 

@@ -14,8 +14,10 @@ import io
 import json
 import sys
 import time
+from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .ball import BallSpec, ball_size
@@ -72,18 +74,132 @@ def _density_record(ball: BallSpec, group_order: int, num: int, den: int) -> dic
     }
 
 
-def _splitter_density(splitter: SplitterSet) -> dict:
-    ball = splitter.ball()
-    return _density_record(
-        ball, splitter.group.order, ball_size(ball), kernel_lattice(splitter).volume
-    )
+def _density(artifact: SplitterSet | LatticeBasis, ball: BallSpec) -> dict:
+    """A splitter set's density over its group, with its kernel lattice's
+    volume; a lattice's over ``Z^n`` modulo itself."""
+    if isinstance(artifact, SplitterSet):
+        order, volume = artifact.group.order, kernel_lattice(artifact).volume
+    else:
+        order = volume = artifact.volume
+    return _density_record(ball, order, ball_size(ball), volume)
 
 
-def _load_json(path: str):
+def _load(path: str, from_json):
+    """``from_json`` of the JSON object in the file ``path``.  Bad JSON, a
+    top level that is not an object, and a field that a ``from_json`` cannot
+    read (the error is raised in a ``from_json``, or in a comprehension
+    there) raise DomainError.  An error raised in code that a ``from_json``
+    calls is a bug and propagates."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"{path}: expected a JSON object, not {type(data).__name__}")
+    try:
+        return from_json(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        tb, last = exc.__traceback__, None
+        while tb is not None:
+            if not tb.tb_frame.f_code.co_name.startswith("<"):
+                last = tb.tb_frame.f_code.co_name
+            tb = tb.tb_next
+        if last != "from_json" or isinstance(exc, MagballError):
+            raise
+        raise DomainError(f"{path}: malformed document ({type(exc).__name__}: {exc})") from exc
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+# ---------------------------------------------------------------------------
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+class Family(NamedTuple):
+    """A construction family.  ``params`` are its argparse names: those
+    without a ``construct`` default are required, and all of them go in the
+    manifest.  ``desk`` gives each parameter's value in the family's
+    ``table`` row, and ``kind`` is that row's type.  ``build`` maps parsed
+    flags to ``(artifact, ball, extras)``: a splitter set, or a lattice
+    basis, the ball it is built for, and further artifacts as JSON data by
+    file suffix."""
+
+    params: str
+    desk: str
+    kind: str
+    build: Callable[[argparse.Namespace], tuple]
+
+    def desk_flags(self) -> list[str]:
+        """The ``construct`` flags of the family's ``table`` row."""
+        pairs = zip(self.params.split(), self.desk.split())
+        return [arg for name, value in pairs for arg in (_flag(name), value)]
+
+
+def _split(splitter: SplitterSet, **extras) -> tuple:
+    return splitter, splitter.ball(), extras
+
+
+def _build_bch(a) -> tuple:
+    code = bch_code(a.p, a.m, a.d)
+    basis = code_lattice(code, a.kplus, a.kminus)
+    decoder = ModPDecoderContext.build(code, a.kplus, a.kminus).to_json()
+    return basis, BallSpec(code.n, (a.d - 1) // 2, a.kplus, a.kminus), {"decoder": decoder}
+
+
+def _bt_set(a):
+    """The Bose-Chowla B_t set of ``--variant``, with its s2 data (or None)."""
+    if a.variant == "s2":
+        data = bose_chowla_s2(a.q, a.t)
+        return data.bt, data
+    return bose_chowla_s1(a.q, a.t), None
+
+
+def _build_bc10(a) -> tuple:
+    bt, s2 = _bt_set(a)
+    extras = {} if s2 is None else {"decoder": S2DecoderContext.from_s2(s2).to_json()}
+    return _split(bt_shift_to_splitter(bt), **extras)
+
+
+def _build_sidon(a) -> tuple:
+    sidon, reached = search_kfold_sidon(a.N, a.k, a.target_size)
+    if not reached:
+        print(f"note: target size {a.target_size} unreachable; "
+              f"using maximum found ({len(sidon.elements)})", file=sys.stderr)
+    return _split(kfold_sidon_splitter(sidon, a.kplus, a.kminus))
+
+
+def _build_lambda(a) -> tuple:
+    sample = sample_lambda_splitter(a.N, a.t, a.kplus, a.kminus, a.epsilon, a.seed)
+    report = {
+        "lambda": sample.lambda_,
+        "size": sample.splitter.n,
+        "size_in_range": sample.size_in_range,
+        "expected_size": f"{sample.expected_size:.6f}",
+        "histogram": {str(k): v for k, v in sorted(sample.report.histogram.items())},
+    }
+    return _split(sample.splitter, report=report)
+
+
+FAMILIES = {
+    "bch-lattice": Family("p m d kplus kminus", "3 2 5 1 1", "packing", _build_bch),
+    "bose-chowla-10": Family("q t variant", "4 2 s1", "packing", _build_bc10),
+    "bose-chowla-11": Family("q t variant", "3 2 s1", "packing",
+                             lambda a: _split(bt_pm1_splitter(_bt_set(a)[0], a.t))),
+    "sidon-2fold": Family("N k kplus kminus target_size", "31 2 2 0 4", "packing", _build_sidon),
+    "behrend-ruzsa": Family(
+        "kplus kminus D K p", "1 0 2 1 17", "packing",
+        lambda a: _split(behrend_ruzsa_splitter(a.kplus, a.kminus, a.D, a.K, a.p)),
+    ),
+    "covering-product": Family(
+        "p m t kplus kminus", "2 2 2 1 0", "covering",
+        lambda a: _split(product_splitter(covering_base_split(a.p, a.m, a.kplus, a.kminus), a.t)),
+    ),
+    "lambda-random": Family("N t kplus kminus epsilon seed", "53 2 1 0 0.25 1", "lambda-packing",
+                            _build_lambda),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -91,112 +207,29 @@ def _load_json(path: str):
 # ---------------------------------------------------------------------------
 
 
-# Each family's parameters, by argparse name: those without a default are
-# required, and all of them are recorded in the manifest.
-_FAMILY_PARAMS = {
-    "bch-lattice": ("p", "m", "d", "kplus", "kminus"),
-    "bose-chowla-10": ("q", "t", "variant"),
-    "bose-chowla-11": ("q", "t", "variant"),
-    "sidon-2fold": ("N", "k", "kplus", "kminus", "target_size"),
-    "behrend-ruzsa": ("kplus", "kminus", "D", "K", "p"),
-    "covering-product": ("p", "m", "t", "kplus", "kminus"),
-    "lambda-random": ("N", "t", "kplus", "kminus", "epsilon", "seed"),
-}
-
-
-def _construct_artifacts(args) -> tuple[dict[str, str], dict]:
-    """Build the requested family; returns {suffix: file text} plus parameters."""
-    family = args.family
-    names = _FAMILY_PARAMS[family]
-    missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise DomainError(f"family {family} needs {', '.join(missing)}")
-    out: dict[str, str] = {}
-    params: dict = {"family": family, **{name: getattr(args, name) for name in names}}
-
-    if family == "bch-lattice":
-        code = bch_code(args.p, args.m, args.d)
-        basis = code_lattice(code, args.kplus, args.kminus)
-        t = (args.d - 1) // 2
-        ball = BallSpec(code.n, t, args.kplus, args.kminus)
-        out["lattice"] = _dump(basis.to_json())
-        out["density"] = _dump(
-            _density_record(ball, basis.volume, ball_size(ball), basis.volume)
-        )
-        ctx = ModPDecoderContext.build(code, args.kplus, args.kminus)
-        out["decoder"] = _dump(ctx.to_json())
-    elif family == "bose-chowla-10":
-        if args.variant == "s2":
-            data = bose_chowla_s2(args.q, args.t)
-            bt = data.bt
-            ctx = S2DecoderContext.from_s2(data)
-            out["decoder"] = _dump(ctx.to_json())
-        else:
-            bt = bose_chowla_s1(args.q, args.t)
-        splitter = bt_shift_to_splitter(bt)
-        out["splitter"] = _dump(splitter.to_json())
-        out["density"] = _dump(_splitter_density(splitter))
-    elif family == "bose-chowla-11":
-        bt = (
-            bose_chowla_s2(args.q, args.t).bt
-            if args.variant == "s2"
-            else bose_chowla_s1(args.q, args.t)
-        )
-        splitter = bt_pm1_splitter(bt, args.t)
-        out["splitter"] = _dump(splitter.to_json())
-        out["density"] = _dump(_splitter_density(splitter))
-    elif family == "sidon-2fold":
-        sidon, reached = search_kfold_sidon(args.N, args.k, args.target_size)
-        if not reached:
-            print(
-                f"note: target size {args.target_size} unreachable; "
-                f"using maximum found ({len(sidon.elements)})",
-                file=sys.stderr,
-            )
-        splitter = kfold_sidon_splitter(sidon, args.kplus, args.kminus)
-        out["splitter"] = _dump(splitter.to_json())
-        out["density"] = _dump(_splitter_density(splitter))
-    elif family == "behrend-ruzsa":
-        splitter = behrend_ruzsa_splitter(args.kplus, args.kminus, args.D, args.K, args.p)
-        out["splitter"] = _dump(splitter.to_json())
-        out["density"] = _dump(_splitter_density(splitter))
-    elif family == "covering-product":
-        base = covering_base_split(args.p, args.m, args.kplus, args.kminus)
-        splitter = product_splitter(base, args.t)
-        out["splitter"] = _dump(splitter.to_json())
-        out["density"] = _dump(_splitter_density(splitter))
-    else:  # lambda-random
-        sample = sample_lambda_splitter(
-            args.N, args.t, args.kplus, args.kminus, args.epsilon, args.seed
-        )
-        out["splitter"] = _dump(sample.splitter.to_json())
-        out["report"] = _dump(
-            {
-                "lambda": sample.lambda_,
-                "size": sample.splitter.n,
-                "size_in_range": sample.size_in_range,
-                "expected_size": f"{sample.expected_size:.6f}",
-                "histogram": {str(k): v for k, v in sorted(sample.report.histogram.items())},
-            }
-        )
-        out["density"] = _dump(_splitter_density(sample.splitter))
-    return out, params
-
-
 def cmd_construct(args) -> int:
     started = time.perf_counter()
-    artifacts, params = _construct_artifacts(args)
+    names = FAMILIES[args.family].params.split()
+    missing = [_flag(name) for name in names if getattr(args, name) is None]
+    if missing:
+        raise DomainError(f"family {args.family} needs {', '.join(missing)}")
+    artifact, ball, extras = FAMILIES[args.family].build(args)
+    artifacts = {
+        "splitter" if isinstance(artifact, SplitterSet) else "lattice": artifact.to_json(),
+        "density": _density(artifact, ball),
+        **extras,
+    }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = args.prefix or args.family
     digests = {}
-    for suffix, text in sorted(artifacts.items()):
+    for suffix, data in sorted(artifacts.items()):
         path = out_dir / f"{prefix}.{suffix}.json"
-        digests[path.name] = _write_file(path, text)
+        digests[path.name] = _write_file(path, _dump(data))
         print(path)
     manifest = {
         "command": "construct",
-        "parameters": params,
+        "parameters": {"family": args.family, **{name: getattr(args, name) for name in names}},
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "timing_seconds": round(time.perf_counter() - started, 6),
@@ -210,31 +243,34 @@ def cmd_construct(args) -> int:
 # verify / density
 # ---------------------------------------------------------------------------
 
-
-def _ball_from_args(args, splitter: SplitterSet | None) -> BallSpec:
-    if args.ball:
-        return BallSpec.from_json(_load_json(args.ball))
-    if args.n is not None:
-        return BallSpec(args.n, args.t, args.kplus, args.kminus)
-    if splitter is not None:
-        return splitter.ball()
-    raise DomainError("a ball spec is required: pass --ball or --n/--t/--kplus/--kminus")
+# The ball of a --lattice run is --n with these, unless their flags are given.
+_LATTICE_BALL_DEFAULTS = {"t": 1, "kplus": 1, "kminus": 0}
 
 
-def _load_artifact(args) -> tuple[SplitterSet | None, LatticeBasis | None]:
-    """The splitter set or the lattice named on the command line."""
+def _load_artifact(args) -> tuple[SplitterSet | LatticeBasis, BallSpec]:
+    """The splitter set or lattice named on the command line, with its ball:
+    a splitter set's own, or the one the ball flags give a lattice."""
     if bool(args.splitter) == bool(args.lattice):
         # A command derives the lattice of a splitter from the splitter, so a
         # second lattice could only be ignored or checked as an unrelated object.
         raise DomainError("pass --splitter or --lattice, not both")
+    flags = {name: getattr(args, name) for name in ("n", *_LATTICE_BALL_DEFAULTS)}
     if args.splitter:
-        return SplitterSet.from_json(_load_json(args.splitter)), None
-    return None, LatticeBasis.from_json(_load_json(args.lattice))
+        given = [_flag(name) for name, value in flags.items() if value is not None]
+        if given:
+            raise DomainError(f"{', '.join(given)}: a splitter set carries its own ball")
+        splitter = _load(args.splitter, SplitterSet.from_json)
+        return splitter, splitter.ball()
+    if args.n is None:
+        raise DomainError("--lattice needs --n")
+    ball = BallSpec(**{name: _LATTICE_BALL_DEFAULTS[name] if value is None else value
+                       for name, value in flags.items()})
+    return _load(args.lattice, LatticeBasis.from_json), ball
 
 
 def cmd_verify(args) -> int:
-    splitter, basis = _load_artifact(args)
-    ball = _ball_from_args(args, splitter)
+    artifact, ball = _load_artifact(args)
+    splitter = artifact if isinstance(artifact, SplitterSet) else None
     report: dict = {"kind": args.kind, "ball": ball.to_json()}
 
     if args.kind == "lambda":
@@ -246,17 +282,15 @@ def cmd_verify(args) -> int:
         return 0
 
     split_ok = None
+    basis = artifact
     if splitter is not None:
         checker = check_partial_split if args.kind == "packing" else check_complete_split
         split = checker(splitter)
         report["splitting"] = split.to_json()
         split_ok = split.verified
         basis = kernel_lattice(splitter)
-    geo = (
-        verify_packing_geometric(basis, ball)
-        if args.kind == "packing"
-        else verify_covering_geometric(basis, ball)
-    )
+    oracle = verify_packing_geometric if args.kind == "packing" else verify_covering_geometric
+    geo = oracle(basis, ball)
     report["geometric"] = geo.to_json()
     report["volume"] = str(basis.volume)
     geo_ok = geo.verified
@@ -278,13 +312,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_density(args) -> int:
-    splitter, basis = _load_artifact(args)
-    ball = _ball_from_args(args, splitter)
-    if splitter is None:
-        order = basis.volume
-    else:
-        basis, order = kernel_lattice(splitter), splitter.group.order
-    print(_dump(_density_record(ball, order, ball_size(ball), basis.volume)), end="")
+    print(_dump(_density(*_load_artifact(args))), end="")
     return 0
 
 
@@ -293,50 +321,45 @@ def cmd_density(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_decode(args) -> int:
-    ctx_data = _load_json(args.context)
-    kind = ctx_data.get("type")
+def _decoder_context(data: dict) -> S2DecoderContext | ModPDecoderContext:
+    kind = data.get("type")
     if kind == "s2":
-        ctx = S2DecoderContext.from_json(ctx_data)
-        decode = partial(decode_s2, ctx)
-        length = ctx.q
-    elif kind == "modp":
-        ctx = ModPDecoderContext.from_json(ctx_data)
-        decode = partial(decode_mod_p, ctx)
-        length = ctx.code.n
-    else:
-        raise DomainError(f"unknown decoder context type {kind!r}")
+        return S2DecoderContext.from_json(data)
+    if kind == "modp":
+        return ModPDecoderContext.from_json(data)
+    raise DomainError(f"unknown decoder context type {kind!r}")
 
-    source = Path(args.infile).open(encoding="utf-8") if args.infile else sys.stdin
-    sink = Path(args.out).open("w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for line in source:
+
+def cmd_decode(args) -> int:
+    ctx = _load(args.context, _decoder_context)
+    if isinstance(ctx, S2DecoderContext):
+        decode, length = partial(decode_s2, ctx), ctx.q
+    else:
+        decode, length = partial(decode_mod_p, ctx), ctx.code.n
+
+    with ExitStack() as files:
+        source, sink = sys.stdin, sys.stdout
+        if args.infile:
+            source = files.enter_context(open(args.infile, encoding="utf-8"))
+        if args.out:
+            sink = files.enter_context(open(args.out, "w", encoding="utf-8"))
+        for number, line in enumerate(source, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                vec = [int(x) for x in json.loads(line)]
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
-                raise DomainError(f"bad input line {line!r}: {exc}") from exc
+                vec = json.loads(line)
+                # Exact types: no float, string or bool (an int subclass) passes.
+                if not isinstance(vec, list) or not set(map(type, vec)) <= {int}:
+                    raise ValueError("not a list of integers")
+            except ValueError as exc:
+                raise DomainError(f"bad input line {number} {line!r}: {exc}") from exc
             if len(vec) != length:
                 raise DomainError(f"vector length {len(vec)} != {length}")
             result = decode(vec)
-            sink.write(
-                json.dumps(
-                    {
-                        "input": vec,
-                        "decoded": None if result.codeword is None else list(result.codeword),
-                        "status": result.status,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    finally:
-        if args.infile:
-            source.close()
-        if args.out:
-            sink.close()
+            decoded = None if result.codeword is None else list(result.codeword)
+            record = {"input": vec, "decoded": decoded, "status": result.status}
+            sink.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 
 
@@ -356,50 +379,35 @@ def _table_row(family: str, kind: str, density: dict, verdict: str) -> dict:
     return row
 
 
-def _table_rows() -> list[dict]:
-    def split_row(family: str, kind: str, splitter: SplitterSet) -> dict:
+def _table_verdict(kind: str, artifact, ball: BallSpec, extras: dict) -> str:
+    """The splitting checker's verdict on a splitter set, the geometric
+    oracle's on a lattice, and the multiplicity of a lambda-packing."""
+    if kind == "lambda-packing":
+        return f"lambda={extras['report']['lambda']}"
+    if isinstance(artifact, SplitterSet):
         checker = check_partial_split if kind == "packing" else check_complete_split
-        return _table_row(family, kind, _splitter_density(splitter), checker(splitter).verdict)
-
-    code = bch_code(3, 2, 5)
-    basis = code_lattice(code, 1, 1)
-    ball = BallSpec(code.n, 2, 1, 1)
-    bch_density = _density_record(ball, basis.volume, ball_size(ball), basis.volume)
-    sidon, _ = search_kfold_sidon(31, 2, 4)
-    cover = product_splitter(covering_base_split(2, 2, 1, 0), 2)
-    baseline = hamming_covering_baseline(cover.n, cover.t, 1, 0, 4)
-    sample = sample_lambda_splitter(53, 2, 1, 0, 0.25, seed=1)
-    return [
-        _table_row(
-            "bch-lattice", "packing", bch_density, verify_packing_geometric(basis, ball).verdict
-        ),
-        split_row("bose-chowla-10", "packing", bt_shift_to_splitter(bose_chowla_s1(4, 2))),
-        split_row("bose-chowla-11", "packing", bt_pm1_splitter(bose_chowla_s1(3, 2), 2)),
-        split_row("sidon-2fold", "packing", kfold_sidon_splitter(sidon, 2, 0)),
-        split_row("behrend-ruzsa", "packing", behrend_ruzsa_splitter(1, 0, 2, 1, 17)),
-        split_row("covering-product", "covering", cover),
-        _table_row(
-            "covering-baseline",
-            "covering",
-            _density_record(
-                BallSpec(cover.n, cover.t, 1, 0),
-                4**cover.n,
-                baseline.numerator,
-                baseline.denominator,
-            ),
-            "size-bound",
-        ),
-        _table_row(
-            "lambda-random",
-            "lambda-packing",
-            _splitter_density(sample.splitter),
-            f"lambda={sample.lambda_}",
-        ),
-    ]
+        return checker(artifact).verdict
+    oracle = verify_packing_geometric if kind == "packing" else verify_covering_geometric
+    return oracle(artifact, ball).verdict
 
 
-def cmd_table(args) -> int:
-    rows = _table_rows()
+def _baseline_row(cover: SplitterSet) -> dict:
+    ball = cover.ball()
+    baseline = hamming_covering_baseline(ball.n, ball.t, ball.kplus, ball.kminus, 4)
+    density = _density_record(ball, 4**ball.n, baseline.numerator, baseline.denominator)
+    return _table_row("covering-baseline", "covering", density, "size-bound")
+
+
+def cmd_table(construct_parser: argparse.ArgumentParser, args) -> int:
+    """Each family's ``table`` row, built by the ``construct`` builder from
+    its desk flags, parsed by the ``construct`` parser."""
+    rows = []
+    for name, family in FAMILIES.items():
+        built = family.build(construct_parser.parse_args(["--family", name, *family.desk_flags()]))
+        density = _density(*built[:2])
+        rows.append(_table_row(name, family.kind, density, _table_verdict(family.kind, *built)))
+        if name == "covering-product":
+            rows.append(_baseline_row(built[0]))
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_TABLE_COLUMNS, quoting=csv.QUOTE_MINIMAL)
     writer.writeheader()
@@ -459,20 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     con = sub.add_parser("construct", help="build a construction family")
-    con.add_argument(
-        "--family",
-        required=True,
-        choices=list(_FAMILY_PARAMS),
-    )
-    con.add_argument("--p", type=int)
-    con.add_argument("--m", type=int)
-    con.add_argument("--d", type=int)
-    con.add_argument("--q", type=int)
-    con.add_argument("--t", type=int)
-    con.add_argument("--N", type=int)
-    con.add_argument("--k", type=int)
-    con.add_argument("--D", type=int)
-    con.add_argument("--K", type=int)
+    con.add_argument("--family", required=True, choices=list(FAMILIES))
+    for name in ("p", "m", "d", "q", "t", "N", "k", "D", "K"):
+        con.add_argument(f"--{name}", type=int)
     con.add_argument("--kplus", type=int, default=1)
     con.add_argument("--kminus", type=int, default=0)
     con.add_argument("--variant", choices=["s1", "s2"], default="s1")
@@ -485,24 +482,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="verify packing/covering/lambda claims")
     ver.add_argument("--kind", required=True, choices=["packing", "covering", "lambda"])
-    ver.add_argument("--splitter")
-    ver.add_argument("--lattice")
-    ver.add_argument("--ball")
-    ver.add_argument("--n", type=int)
-    ver.add_argument("--t", type=int, default=1)
-    ver.add_argument("--kplus", type=int, default=1)
-    ver.add_argument("--kminus", type=int, default=0)
     ver.set_defaults(func=cmd_verify)
-
     den = sub.add_parser("density", help="exact density of a construction")
-    den.add_argument("--splitter")
-    den.add_argument("--lattice")
-    den.add_argument("--ball")
-    den.add_argument("--n", type=int)
-    den.add_argument("--t", type=int, default=1)
-    den.add_argument("--kplus", type=int, default=1)
-    den.add_argument("--kminus", type=int, default=0)
     den.set_defaults(func=cmd_density)
+    for cmd in (ver, den):
+        cmd.add_argument("--splitter", help="a splitter set, with its own ball")
+        cmd.add_argument("--lattice", help="a lattice basis, with the ball of the flags below")
+        cmd.add_argument("--n", type=int)
+        for name, default in _LATTICE_BALL_DEFAULTS.items():
+            cmd.add_argument(f"--{name}", type=int, help=f"default {default}")
 
     dec = sub.add_parser("decode", help="decode received vectors in bulk")
     dec.add_argument("--context", required=True)
@@ -512,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tab = sub.add_parser("table", help="desk-scale summary of every family")
     tab.add_argument("--out")
-    tab.set_defaults(func=cmd_table)
+    tab.set_defaults(func=partial(cmd_table, con))
 
     sea = sub.add_parser("search", help="exhaustive B_t / k-fold Sidon search")
     sea.add_argument("--kind", required=True, choices=["sidon", "bt"])
@@ -536,7 +524,7 @@ def main(argv=None) -> int:
     except OracleDisagreement as exc:
         print(f"error: oracle disagreement: {exc}", file=sys.stderr)
         return 3
-    except MagballError as exc:
+    except (MagballError, OSError) as exc:  # OSError: a missing input, an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -92,28 +92,26 @@ def smith_normal_form(
 ) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form ``(U, D, V)`` with ``U @ A @ V == D`` diagonal,
     ``U`` and ``V`` unimodular, and the diagonal a divisibility chain."""
-    U, D, V, _, _ = _snf_full(matrix)
+    U, D, V, _ = _snf_full(matrix)
     return U, D, V
 
 
 def _snf_full(
     matrix: Sequence[Sequence[int]],
-) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
-    """SNF with the inverses of both transforms tracked alongside."""
+) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """SNF ``(U, D, V, Vinv)`` with the inverse of ``V`` tracked alongside."""
     D = [list(map(int, row)) for row in matrix]
     rows = len(D)
     cols = len(D[0]) if rows else 0
     if any(len(r) != cols for r in D):
         raise DomainError("ragged matrix")
-    U, Uinv = _identity(rows), _identity(rows)
+    U = _identity(rows)
     V, Vinv = _identity(cols), _identity(cols)
 
     def row_op(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j; inverse transform gains the opposite column op
+        # row_i -= q * row_j
         _row_sub(D, i, j, q)
         _row_sub(U, i, j, q)
-        for r in range(rows):
-            Uinv[r][j] += q * Uinv[r][i]
 
     def col_op(i: int, j: int, q: int) -> None:
         # col_i -= q * col_j
@@ -128,8 +126,6 @@ def _snf_full(
     def row_swap(i: int, j: int) -> None:
         D[i], D[j] = D[j], D[i]
         U[i], U[j] = U[j], U[i]
-        for r in range(rows):
-            Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
 
     def col_swap(i: int, j: int) -> None:
         for r in range(rows):
@@ -141,8 +137,6 @@ def _snf_full(
     def row_negate(i: int) -> None:
         D[i] = [-x for x in D[i]]
         U[i] = [-x for x in U[i]]
-        for r in range(rows):
-            Uinv[r][i] = -Uinv[r][i]
 
     k = 0
     while k < min(rows, cols):
@@ -190,7 +184,7 @@ def _snf_full(
         if D[k][k] < 0:
             row_negate(k)
         k += 1
-    return U, D, V, Uinv, Vinv
+    return U, D, V, Vinv
 
 
 def det_from_hnf(matrix: Sequence[Sequence[int]]) -> int:
@@ -365,7 +359,7 @@ def _smith_coordinates(basis: LatticeBasis, ball: BallSpec):
     if ball.n != basis.n:
         raise DomainError(f"ball n = {ball.n} != lattice n = {basis.n}")
     check("enumeration", ball_size(ball))
-    _, D, V, _, Vinv = _snf_full([list(r) for r in basis.rows])
+    _, D, V, Vinv = _snf_full([list(r) for r in basis.rows])
     keep = [c for c in range(basis.n) if D[c][c] != 1]
     rows = [[V[i][c] for c in keep] for i in range(basis.n)]
     return rows, [D[c][c] for c in keep], [Vinv[c] for c in keep]

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import magball
-from magball.cli import main
+import magball.lattice
+from magball.cli import FAMILIES, build_parser, main
 
 # The directory holding the ``magball`` package these tests imported.  A
 # relative ``PYTHONPATH`` entry such as ``src`` does not survive the child's
@@ -28,49 +29,22 @@ def run_cli(args, cwd):
     )
 
 
-FAMILIES = [
-    (
-        ["--family", "bch-lattice", "--p", "3", "--m", "2", "--d", "5",
-         "--kplus", "1", "--kminus", "1"],
-        "packing",
-        "lattice",
-    ),
-    (["--family", "bose-chowla-10", "--q", "4", "--t", "2"], "packing", "splitter"),
-    (
-        ["--family", "bose-chowla-10", "--q", "4", "--t", "2", "--variant", "s2"],
-        "packing",
-        "splitter",
-    ),
-    (["--family", "bose-chowla-11", "--q", "3", "--t", "2"], "packing", "splitter"),
-    (
-        ["--family", "sidon-2fold", "--N", "31", "--k", "2", "--kplus", "2",
-         "--kminus", "0", "--target-size", "4"],
-        "packing",
-        "splitter",
-    ),
-    (
-        ["--family", "behrend-ruzsa", "--kplus", "1", "--kminus", "0", "--D", "2",
-         "--K", "1", "--p", "17"],
-        "packing",
-        "splitter",
-    ),
-    (
-        ["--family", "covering-product", "--p", "2", "--m", "2", "--t", "2",
-         "--kplus", "1", "--kminus", "0"],
-        "covering",
-        "splitter",
-    ),
-    (
-        ["--family", "lambda-random", "--N", "53", "--t", "2", "--kplus", "1",
-         "--kminus", "0", "--epsilon", "0.25", "--seed", "1"],
-        "lambda",
-        "splitter",
-    ),
+# One construct -> verify case per family, at its table flags, plus the s2
+# variant of bose-chowla-10 (the one that also writes a decoder context).
+CASES = [
+    (["--family", name, *family.desk_flags()],
+     {"lambda-packing": "lambda"}.get(family.kind, family.kind),
+     "lattice" if name == "bch-lattice" else "splitter")
+    for name, family in FAMILIES.items()
 ]
+CASES.insert(2, (CASES[1][0] + ["--variant", "s2"], *CASES[1][1:]))
+
+EXPECTED = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "expected.json")
+                      .read_text(encoding="utf-8"))
 
 
 class TestConstructVerifyIntegration:
-    @pytest.mark.parametrize("flags,kind,artifact", FAMILIES)
+    @pytest.mark.parametrize("flags,kind,artifact", CASES)
     def test_every_construct_output_passes_verify(self, tmp_path, flags, kind, artifact):
         prefix = "case"
         rc = main(["construct", *flags, "--out-dir", str(tmp_path), "--prefix", prefix])
@@ -79,8 +53,16 @@ class TestConstructVerifyIntegration:
         assert path.exists()
         verify_args = ["verify", "--kind", kind, f"--{artifact}", str(path)]
         if artifact == "lattice":
-            verify_args += ["--n", "8", "--t", "2", "--kplus", "1", "--kminus", "1"]
+            ball = json.loads((tmp_path / f"{prefix}.density.json").read_text())["ball"]
+            verify_args += [f"--{key}={value}" for key, value in ball.items()]
         assert main(verify_args) == 0
+
+    def test_registry_parameters_are_construct_flags(self):
+        parser = build_parser()
+        for name, family in FAMILIES.items():
+            args = parser.parse_args(["construct", "--family", name, *family.desk_flags()])
+            params = family.params.split()
+            assert set(params) <= set(vars(args)) and len(family.desk.split()) == len(params), name
 
     def test_manifest_lists_digests(self, tmp_path):
         main(
@@ -296,6 +278,13 @@ class TestTable:
         main(["table"])
         assert capsys.readouterr().out == first
 
+    def test_csv_matches_the_benchmark_pin(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main(["table", "--out", str(out)]) == 0
+        # Text-mode reading turns the csv module's "\r\n" into "\n", as the
+        # benchmark's reading of stdout does.
+        assert out.read_text(encoding="utf-8") == EXPECTED["jobs"]["table"]["stdout"]
+
 
 class TestDensityCli:
     def test_splitter_density(self, tmp_path, capsys):
@@ -334,6 +323,128 @@ class TestDensityCli:
         record = json.loads(capsys.readouterr().out)
         assert (record["density_num"], record["density_den"]) == (129, 729)
         assert record["density_decimal"] == "0.176955"
+
+
+VERIFY_AND_DENSITY = [["verify", "--kind", "packing"], ["density"]]
+
+
+@pytest.fixture
+def artifacts(tmp_path, capsys):
+    """The bose-chowla-10 q=4 splitter set and the bch 3,2,5 lattice."""
+    main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+          "--out-dir", str(tmp_path), "--prefix", "bc"])
+    main(["construct", "--family", "bch-lattice", "--p", "3", "--m", "2", "--d", "5",
+          "--kplus", "1", "--kminus", "1", "--out-dir", str(tmp_path), "--prefix", "bch"])
+    capsys.readouterr()
+    return str(tmp_path / "bc.splitter.json"), str(tmp_path / "bch.lattice.json")
+
+
+class TestBallSource:
+    @pytest.mark.parametrize("command", VERIFY_AND_DENSITY)
+    @pytest.mark.parametrize(
+        "ball",
+        [
+            # A ball the splitting checker does not scan: this exited 3 (oracle
+            # disagreement) when the geometric oracle took the flags' ball.
+            ["--n", "3", "--t", "2", "--kplus", "2", "--kminus", "0"],
+            ["--t", "3"], ["--t", "0"], ["--n", "3"], ["--kplus", "1"], ["--kminus", "0"],
+        ],
+    )
+    def test_splitter_with_ball_flags_is_exit_2(self, artifacts, capsys, command, ball):
+        assert main([*command, "--splitter", artifacts[0], *ball]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "carries its own ball" in captured.err
+
+    @pytest.mark.parametrize("command", VERIFY_AND_DENSITY)
+    def test_lattice_without_n_is_exit_2(self, artifacts, capsys, command):
+        assert main([*command, "--lattice", artifacts[1], "--t", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--lattice needs --n" in captured.err
+
+    @pytest.mark.parametrize("command", VERIFY_AND_DENSITY)
+    def test_ball_option_is_gone(self, artifacts, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--splitter", artifacts[0], "--ball", artifacts[0]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ball" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, ball, num",
+        [
+            ([], {"n": 8, "t": 1, "kplus": 1, "kminus": 0}, 9),
+            (["--t", "0"], {"n": 8, "t": 0, "kplus": 1, "kminus": 0}, 1),
+            (["--t", "2", "--kminus", "1"], {"n": 8, "t": 2, "kplus": 1, "kminus": 1}, 129),
+        ],
+    )
+    def test_lattice_ball_defaults_fill_absent_flags_only(self, artifacts, capsys, flags, ball, num):
+        assert main(["density", "--lattice", artifacts[1], "--n", "8", *flags]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["ball"] == ball and record["density_num"] == num
+
+
+class TestMalformedInput:
+    def test_missing_decode_input_is_exit_2(self, tmp_path, capsys):
+        main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+              "--variant", "s2", "--out-dir", str(tmp_path), "--prefix", "bc"])
+        capsys.readouterr()
+        rc = main(["decode", "--context", str(tmp_path / "bc.decoder.json"),
+                   "--in", str(tmp_path / "missing.jsonl")])
+        assert rc == 2 and "missing.jsonl" in capsys.readouterr().err
+
+    def test_table_out_in_missing_directory_is_exit_2(self, tmp_path, capsys):
+        assert main(["table", "--out", str(tmp_path / "nodir" / "x.csv")]) == 2
+        assert "nodir" in capsys.readouterr().err
+
+    def test_construct_out_dir_that_is_a_file_is_exit_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        rc = main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+                   "--out-dir", str(tmp_path / "taken")])
+        assert rc == 2 and "taken" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            (["verify", "--kind", "packing", "--splitter"], [1, 2]),
+            (["verify", "--kind", "packing", "--splitter"], {"group": [8], "elements": [[1]]}),
+            (["verify", "--kind", "packing", "--splitter"], {"group": 8, "elements": [[1]],
+                                                            "kplus": 1, "kminus": 0, "t": 1}),
+            (["density", "--n", "1", "--lattice"], []),
+            (["density", "--n", "1", "--lattice"], {"n": 1, "rows": [[2]]}),
+            (["decode", "--context"], ["modp"]),
+            (["decode", "--context"], {"type": "modp"}),
+            (["decode", "--context"], {"type": "s2", "q": 4}),
+        ],
+    )
+    def test_document_of_the_wrong_shape_is_exit_2(self, tmp_path, capsys, command, document):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(path) in captured.err
+
+    @pytest.mark.parametrize("error", [KeyError, TypeError])
+    def test_error_below_from_json_is_not_exit_2(self, artifacts, monkeypatch, error):
+        def broken(*args):
+            raise error("bug")
+
+        monkeypatch.setattr(magball.lattice, "basis_from_rows", broken)
+        with pytest.raises(error):
+            main(["density", "--lattice", artifacts[1], "--n", "8"])
+
+    @pytest.mark.parametrize(
+        "line", ["[1.7,0,0,0,0,0,0,2.9]", "[true,0,0,0,0,0,0,0]", '["2",0,0,0,0,0,0,0]',
+                 '{"a": 1}', "5"],
+    )
+    def test_non_integer_decode_entries_are_exit_2(self, tmp_path, capsys, line):
+        main(["construct", "--family", "bch-lattice", "--p", "3", "--m", "2", "--d", "5",
+              "--kplus", "1", "--kminus", "1", "--out-dir", str(tmp_path), "--prefix", "bch"])
+        vectors = tmp_path / "in.jsonl"
+        vectors.write_text(f"[0,0,0,0,0,0,0,0]\n{line}\n")
+        capsys.readouterr()
+        rc = main(["decode", "--context", str(tmp_path / "bch.decoder.json"),
+                   "--in", str(vectors), "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        assert "bad input line 2" in capsys.readouterr().err
 
 
 class TestVerifyLambdaCli:
