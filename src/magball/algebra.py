@@ -3,17 +3,18 @@
 Groups are products of cyclic groups ``Z_m1 x ... x Z_mr`` with elements kept
 reduced at all times.  Fields ``F_{p^m}`` are realised as ``F_p[x]/(f)`` for a
 monic primitive ``f``, so the residue class of ``x`` generates the
-multiplicative group and discrete logarithms come from one full table build.
-All types are immutable.
+multiplicative group; one table build over elements packed into integers
+gives discrete and Zech logarithms.  All types are immutable.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError
 from .limits import check
@@ -49,14 +50,15 @@ class GroupSpec:
         return GroupElement(self, (0,) * self.rank)
 
     def element(self, residues: Sequence[int]) -> "GroupElement":
-        """Build an element, reducing each residue into ``[0, m_i)``."""
+        """Build an element from a list or tuple of exact ints, reducing each
+        residue into ``[0, m_i)``."""
+        if not isinstance(residues, (list, tuple)) or not set(map(type, residues)) <= {int}:
+            raise DomainError(f"{residues!r} is not a list of integer residues")
         if len(residues) != self.rank:
             raise DomainError(
                 f"expected {self.rank} residues, got {len(residues)}"
             )
-        return GroupElement(
-            self, tuple(int(r) % m for r, m in zip(residues, self.moduli))
-        )
+        return GroupElement(self, tuple(r % m for r, m in zip(residues, self.moduli)))
 
     def elements(self) -> Iterator["GroupElement"]:
         """All group elements in lexicographic residue order."""
@@ -158,7 +160,9 @@ class FieldSpec:
     """``F_{p^m}`` as ``F_p[x]/(modulus)`` with primitive residue class ``x``.
 
     ``modulus`` is the coefficient tuple in ascending degree order, monic of
-    degree ``m``.
+    degree ``m``.  Elements are coefficient tuples at this interface; inside,
+    ``c_0 + ... + c_{m-1} x^{m-1}`` is the packed integer ``sum c_i p^i`` and
+    arithmetic runs on the tables of :func:`_field_tables`.
     """
 
     p: int
@@ -194,6 +198,25 @@ class FieldSpec:
         padded = list(coeffs) + [0] * (self.m - len(coeffs))
         return tuple(c % self.p for c in padded)
 
+    def pack(self, e: Sequence[int]) -> int:
+        """``sum c_i p^i`` for an element given as a list or tuple of ``m``
+        exact ints in ``[0, p)``; anything else raises DomainError."""
+        if not (isinstance(e, (list, tuple)) and len(e) == self.m
+                and set(map(type, e)) <= {int} and 0 <= min(e) and max(e) < self.p):
+            raise DomainError(f"{e!r} is not an element of F_{self.p}^{self.m}")
+        return _pack(self.p, e)
+
+    def unpack(self, v: int) -> FieldElement:
+        return tuple(v // self.p**i % self.p for i in range(self.m))
+
+    def tables(self) -> tuple[array, array, array]:
+        """The ``(exp, log, zech)`` tables of :func:`_field_tables`."""
+        return _field_tables(self)
+
+    def log(self, e: Sequence[int]) -> int:
+        """The exponent d with ``x^d = e``, or -1 for zero."""
+        return _field_tables(self)[1][self.pack(e)]
+
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
@@ -207,31 +230,29 @@ class FieldSpec:
         return tuple((c * x) % self.p for x in a)
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        zero = self.zero()
-        if a == zero or b == zero:
-            return zero
-        powers, log = _field_tables(self)
-        return powers[(log[a] + log[b]) % (self.size - 1)]
+        la, lb = self.log(a), self.log(b)
+        if la < 0 or lb < 0:
+            return self.zero()
+        return self.power_of_gen(la + lb)
 
     def inv(self, a: FieldElement) -> FieldElement:
-        if a == self.zero():
+        la = self.log(a)
+        if la < 0:
             raise DomainError("zero has no inverse")
-        powers, log = _field_tables(self)
-        return powers[(-log[a]) % (self.size - 1)]
+        return self.power_of_gen(-la)
 
     def pow(self, a: FieldElement, e: int) -> FieldElement:
-        if a == self.zero():
+        la = self.log(a)
+        if la < 0:
             if e == 0:
                 return self.one()
             if e < 0:
                 raise DomainError("zero has no inverse")
             return self.zero()
-        powers, log = _field_tables(self)
-        return powers[(log[a] * e) % (self.size - 1)]
+        return self.power_of_gen(la * e)
 
     def power_of_gen(self, e: int) -> FieldElement:
-        powers, _ = _field_tables(self)
-        return powers[e % (self.size - 1)]
+        return self.unpack(_field_tables(self)[0][e % (self.size - 1)])
 
     def to_json(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
@@ -241,47 +262,65 @@ class FieldSpec:
         return cls(int(data["p"]), int(data["m"]), tuple(data["modulus"]))
 
 
-def _mul_by_x(p: int, modulus: tuple[int, ...], e: FieldElement) -> FieldElement:
-    """Multiply by the residue class of x with one reduction step."""
+def _pack(p: int, digits: Sequence[int]) -> int:
+    return sum(c * p**i for i, c in enumerate(digits))
+
+
+def _packed_ring(p: int, modulus: tuple[int, ...]) -> tuple[Callable[[int], int], Callable[[int, int], int]]:
+    """Multiplication by x, and of two residues, on packed residues modulo
+    the monic ``modulus`` over ``F_p``."""
     m = len(modulus) - 1
-    carry = e[m - 1]
-    shifted = (0,) + e[: m - 1]
-    if carry == 0:
-        return shifted
-    return tuple((s - carry * modulus[i]) % p for i, s in enumerate(shifted))
+    top = p ** (m - 1)
+    # What a carry c out of the top digit folds back to: -c (modulus - x^m).
+    fold = [_pack(p, [(-c * a) % p for a in modulus[:-1]]) for c in range(p)]
+    places = [p**i for i in range(m)]
 
+    def times_x(v: int) -> int:
+        carry, rest = divmod(v, top)
+        shifted, f = rest * p, fold[carry]
+        if not carry or p == 2:
+            return shifted ^ f
+        # Digit by digit mod p; the i-th digit of v is v // p^i mod p.
+        return sum((shifted // place + f // place) % p * place for place in places)
 
-def _mul_mod(p: int, modulus: tuple[int, ...], a: FieldElement, b: FieldElement) -> FieldElement:
-    """Product of two residues mod the monic ``modulus`` over ``F_p``."""
-    m = len(modulus) - 1
-    out = [0] * (2 * m - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    for top in range(2 * m - 2, m - 1, -1):
-        c = out[top] % p
-        if c:
-            for i in range(m):
-                out[top - m + i] -= c * modulus[i]
-    return tuple(c % p for c in out[:m])
+    def mul(a: int, b: int) -> int:
+        """Shift-and-XOR Horner for p = 2, else schoolbook on the digits."""
+        if p == 2:
+            acc = 0
+            for place in reversed(places):
+                acc = times_x(acc) ^ (a if b & place else 0)
+            return acc
+        out = [0] * (2 * m - 1)
+        bs = [b // place % p for place in places]
+        for i, c in enumerate(a // place % p for place in places):
+            if c:
+                for j, d in enumerate(bs):
+                    out[i + j] += c * d
+        for k in range(2 * m - 2, m - 1, -1):
+            c = out[k] % p
+            if c:
+                for i in range(m):
+                    out[k - m + i] -= c * modulus[i]
+        return sum(c % p * place for c, place in zip(out, places))
 
-
-def _x_power(p: int, modulus: tuple[int, ...], e: int) -> FieldElement:
-    """``x^e`` mod ``modulus`` by left-to-right square-and-multiply."""
-    acc = (1,) + (0,) * (len(modulus) - 2)
-    for bit in bin(e)[2:]:
-        acc = _mul_mod(p, modulus, acc, acc)
-        if bit == "1":
-            acc = _mul_by_x(p, modulus, acc)
-    return acc
+    return times_x, mul
 
 
 def _is_primitive(p: int, modulus: tuple[int, ...]) -> bool:
     """Whether x has order exactly ``N = p^m - 1`` mod ``modulus``: ``x^N = 1``
     and ``x^(N/r) != 1`` for every prime ``r | N`` (Lidl & Niederreiter,
     Thm 3.18), with the primes found by trial division."""
-    one = (1,) + (0,) * (len(modulus) - 2)
+    times_x, mul = _packed_ring(p, modulus)
+
+    def x_power(e: int) -> int:
+        """``x^e`` by left-to-right square-and-multiply."""
+        acc = 1
+        for bit in bin(e)[2:]:
+            acc = mul(acc, acc)
+            if bit == "1":
+                acc = times_x(acc)
+        return acc
+
     N = rest = p ** (len(modulus) - 1) - 1
     exponents = []
     for r in range(2, isqrt(N) + 1):
@@ -290,9 +329,7 @@ def _is_primitive(p: int, modulus: tuple[int, ...]) -> bool:
             while rest % r == 0:
                 rest //= r
     exponents += [N // rest] if rest > 1 else []
-    return _x_power(p, modulus, N) == one and all(
-        _x_power(p, modulus, e) != one for e in exponents
-    )
+    return x_power(N) == 1 and all(x_power(e) != 1 for e in exponents)
 
 
 @lru_cache(maxsize=None)
@@ -321,30 +358,36 @@ def find_primitive_polynomial(p: int, m: int) -> FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def _field_tables(
-    spec: FieldSpec,
-) -> tuple[tuple[FieldElement, ...], dict[FieldElement, int]]:
-    """Power table of x and its inverse map; built once per field."""
-    powers: list[FieldElement] = [spec.one()]
-    cur = spec.one()
-    for _ in range(spec.size - 2):
-        cur = _mul_by_x(spec.p, spec.modulus, cur)
-        powers.append(cur)
-    log = {e: i for i, e in enumerate(powers)}
-    if len(log) != spec.size - 1:
+def _field_tables(spec: FieldSpec) -> tuple[array, array, array]:
+    """Built once per field, over the ``N = p^m - 1`` powers of x:
+    ``exp[k]`` is ``x^k`` packed, ``log`` maps a packed element back to its
+    exponent (-1 at zero), and ``zech[k]`` is the Zech logarithm
+    ``log(1 + x^k)`` (-1 where ``1 + x^k = 0``), so that
+    ``x^a + x^b = x^(a + zech[b - a])``."""
+    p, n = spec.p, spec.size - 1
+    times_x, _ = _packed_ring(p, spec.modulus)
+    exp = array("l", [0]) * n
+    log = array("l", [-1]) * spec.size
+    v = 1
+    for k in range(n):
+        exp[k] = v
+        log[v] = k
+        v = times_x(v)
+    # x is primitive exactly when its first n powers are distinct and nonzero
+    # and the next is 1 again.
+    if v != 1 or log.count(-1) != 1:
         raise DomainError("modulus is not primitive: power table is degenerate")
-    return tuple(powers), log
+    # Adding 1 changes only the constant digit.
+    zech = array("l", (log[v - v % p + (v + 1) % p] for v in exp))
+    return exp, log, zech
 
 
-def discrete_log(field: FieldSpec, e: FieldElement) -> int:
+def discrete_log(field: FieldSpec, e: Sequence[int]) -> int:
     """The exponent d with x^d = e; requires e != 0."""
-    if tuple(e) == field.zero():
+    d = field.log(e)
+    if d < 0:
         raise DomainError("discrete log of zero is undefined")
-    _, log = _field_tables(field)
-    try:
-        return log[tuple(e)]
-    except KeyError:
-        raise DomainError(f"{e} is not an element of the field") from None
+    return d
 
 
 def subfield_elements(field: FieldSpec, q: int) -> list[FieldElement]:

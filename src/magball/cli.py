@@ -230,7 +230,7 @@ def cmd_construct(args) -> int:
     manifest = {
         "command": "construct",
         "parameters": {"family": args.family, **{name: getattr(args, name) for name in names}},
-        "seed": getattr(args, "seed", None),
+        **({"seed": args.seed} if "seed" in names else {}),
         "version": __version__,
         "timing_seconds": round(time.perf_counter() - started, 6),
         "digests": digests,

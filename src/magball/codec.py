@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .algebra import FieldElement, FieldSpec, GroupSpec
+from .algebra import FieldSpec, GroupSpec
 from .ball import BallSpec, ball_images, ball_size
 from .constructions import LinearCode, S2Data
 from .errors import DomainError
@@ -49,45 +49,41 @@ class OpCounter:
 class S2DecoderContext:
     """Tables for decoding the kernel lattice of the size-(q+1) B_t set.
 
+    Field elements are held as discrete logs to the base x (-1 for zero), so
+    the decoder multiplies by adding exponents and adds with Zech logarithms.
     ``min_poly`` is the degree-(t+1) minimal polynomial of the field generator
-    over the subfield of size q, stored low-degree-first with coefficients as
-    elements of the big field that happen to lie in the subfield.
+    over the subfield of size q, stored low-degree-first.
     """
 
     q: int
     t: int
     N: int
     field: FieldSpec
-    alphas: tuple[FieldElement, ...]
+    alphas: tuple[int, ...]
     svals: tuple[int, ...]
-    betas: tuple[FieldElement, ...]
-    min_poly: tuple[FieldElement, ...]
+    betas: tuple[int, ...]
+    min_poly: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "min_poly", _min_poly_over_subfield(self.field, self.q, self.t + 1))
+        self.validate()
 
     @classmethod
     def from_s2(cls, data: S2Data) -> "S2DecoderContext":
         f = data.field
-        mp = _min_poly_over_subfield(f, data.q, data.t + 1)
-        ctx = cls(
-            q=data.q,
-            t=data.t,
-            N=data.N,
-            field=f,
-            alphas=data.alphas,
-            svals=data.svals,
-            betas=data.betas,
-            min_poly=mp,
-        )
-        ctx.validate()
-        return ctx
+        alphas, betas = tuple(map(f.log, data.alphas)), tuple(map(f.log, data.betas))
+        return cls(data.q, data.t, data.N, f, alphas, data.svals, betas)
 
     def validate(self) -> None:
-        f = self.field
-        eta = f.gen()
+        n, zech = self.field.size - 1, self.field.tables()[2]
         for alpha, s, beta in zip(self.alphas, self.svals, self.betas):
-            if f.mul(beta, f.pow(eta, s)) != f.add(eta, alpha):
+            # beta * eta^s == eta + alpha with eta = x, of log 1, and beta != 0
+            if beta < 0 or (beta + s) % n != _log_add(zech, n, 1, alpha):
                 raise DomainError("context tables violate beta * eta^s == eta + alpha")
         if len(set(self.svals)) != self.q or 0 in self.svals:
             raise DomainError("splitter values must be distinct and nonzero")
+        if not len(self.alphas) == len(self.betas) == len(self.svals):
+            raise DomainError("alphas, svals and betas must have one entry per position")
 
     def splitter_set(self) -> SplitterSet:
         group = GroupSpec((self.N,))
@@ -99,113 +95,109 @@ class S2DecoderContext:
         )
 
     def to_json(self) -> dict:
+        f = self.field
         return {
             "type": "s2",
             "q": self.q,
             "t": self.t,
             "N": self.N,
-            "field": self.field.to_json(),
-            "alphas": [list(a) for a in self.alphas],
+            "field": f.to_json(),
+            "alphas": [list(f.zero() if a < 0 else f.power_of_gen(a)) for a in self.alphas],
             "svals": list(self.svals),
-            "betas": [list(b) for b in self.betas],
+            "betas": [list(f.power_of_gen(b)) for b in self.betas],  # units
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "S2DecoderContext":
         f = FieldSpec.from_json(data["field"])
-        ctx = cls(
-            q=int(data["q"]),
-            t=int(data["t"]),
-            N=int(data["N"]),
-            field=f,
-            alphas=tuple(tuple(int(c) for c in a) for a in data["alphas"]),
-            svals=tuple(int(s) for s in data["svals"]),
-            betas=tuple(tuple(int(c) for c in b) for b in data["betas"]),
-            min_poly=_min_poly_over_subfield(f, int(data["q"]), int(data["t"]) + 1),
-        )
-        ctx.validate()
-        return ctx
+        alphas, betas = tuple(map(f.log, data["alphas"])), tuple(map(f.log, data["betas"]))
+        svals = tuple(int(s) for s in data["svals"])
+        return cls(int(data["q"]), int(data["t"]), int(data["N"]), f, alphas, svals, betas)
 
 
-def _min_poly_over_subfield(
-    field: FieldSpec, q: int, degree: int
-) -> tuple[FieldElement, ...]:
+# Field elements below are discrete logs to the base x, with -1 for zero, and
+# n = p^m - 1 is the order of x.
+
+
+def _log_mul(n: int, a: int, b: int) -> int:
+    return -1 if a < 0 or b < 0 else (a + b) % n
+
+
+def _log_add(zech: Sequence[int], n: int, a: int, b: int) -> int:
+    """x^a + x^b = x^a (1 + x^(b - a))."""
+    if a < 0:
+        return b
+    if b < 0:
+        return a
+    z = zech[(b - a) % n]
+    return -1 if z < 0 else (a + z) % n
+
+
+def _min_poly_over_subfield(field: FieldSpec, q: int, degree: int) -> tuple[int, ...]:
     """prod (y - eta^(q^i)) for i in [0, degree); coefficients land in the
-    size-q subfield."""
-    eta = field.gen()
-    poly: list[FieldElement] = [field.one()]
-    conj = eta
+    size-q subfield, the elements c with c^q = c."""
+    n, zech = field.size - 1, field.tables()[2]
+    poly = [0]
+    conj = 1  # eta = x
     for _ in range(degree):
-        nxt = [field.zero()] * (len(poly) + 1)
+        nxt = [-1] * (len(poly) + 1)
+        minus_conj = _log_mul(n, conj, field.log(field.element([-1])))
         for i, c in enumerate(poly):
-            nxt[i + 1] = field.add(nxt[i + 1], c)
-            nxt[i] = field.sub(nxt[i], field.mul(c, conj))
+            nxt[i + 1] = _log_add(zech, n, nxt[i + 1], c)
+            nxt[i] = _log_add(zech, n, nxt[i], _log_mul(n, c, minus_conj))
         poly = nxt
-        conj = field.pow(conj, q)
-    for c in poly:
-        if field.pow(c, q) != c:
-            raise DomainError("minimal polynomial left the subfield")
+        conj = conj * q % n
+    if any(c >= 0 and c * (q - 1) % n for c in poly):
+        raise DomainError("minimal polynomial left the subfield")
     return tuple(poly)
 
 
-def _poly_trim(field: FieldSpec, poly: Sequence[FieldElement]) -> list[FieldElement]:
+def _poly_trim(poly: Sequence[int]) -> list[int]:
     out = list(poly)
-    zero = field.zero()
-    while out and out[-1] == zero:
+    while out and out[-1] < 0:
         out.pop()
     return out
 
 
-def _monic(field: FieldSpec, poly: Sequence[FieldElement]) -> list[FieldElement]:
-    trimmed = _poly_trim(field, poly)
-    if not trimmed:
-        return trimmed
-    inv_lead = field.inv(trimmed[-1])
-    return [field.mul(c, inv_lead) for c in trimmed]
+def _monic(n: int, poly: Sequence[int]) -> list[int]:
+    trimmed = _poly_trim(poly)
+    return [_log_mul(n, c, -trimmed[-1] % n) for c in trimmed] if trimmed else trimmed
 
 
 def _poly_mul_mod(
-    field: FieldSpec,
-    a: Sequence[FieldElement],
-    b: Sequence[FieldElement],
-    modulus: Sequence[FieldElement],
-    ops: OpCounter,
-) -> list[FieldElement]:
-    zero = field.zero()
-    prod_ = [zero] * (len(a) + len(b) - 1)
+    zech: Sequence[int], n: int, a: Sequence[int], b: Sequence[int], minus_modulus: Sequence[int]
+) -> tuple[list[int], int]:
+    """``a * b`` modulo the monic polynomial whose lower coefficients are
+    the negatives of ``minus_modulus``, and the number of field
+    multiplications spent (each comes with one addition)."""
+    prod_ = [-1] * (len(a) + len(b) - 1)
+    count = 0
     for i, ca in enumerate(a):
-        if ca == zero:
+        if ca < 0:
             continue
         for j, cb in enumerate(b):
-            if cb == zero:
+            if cb < 0:
                 continue
-            ops.mul += 1
-            ops.add += 1
-            prod_[i + j] = field.add(prod_[i + j], field.mul(ca, cb))
-    # modulus is monic; cancel degrees from the top
-    deg_m = len(modulus) - 1
+            count += 1
+            prod_[i + j] = _log_add(zech, n, prod_[i + j], (ca + cb) % n)
+    # x^deg_m = -(lower terms); cancel degrees from the top
+    deg_m = len(minus_modulus)
     for i in range(len(prod_) - 1, deg_m - 1, -1):
         lead = prod_[i]
-        if lead == zero:
+        if lead < 0:
             continue
-        for j in range(deg_m):
-            ops.mul += 1
-            ops.add += 1
-            prod_[i - deg_m + j] = field.sub(
-                prod_[i - deg_m + j], field.mul(lead, modulus[j])
-            )
-        prod_[i] = zero
-    return prod_[:deg_m]
+        count += deg_m
+        for j, c in enumerate(minus_modulus):
+            if c >= 0:
+                prod_[i - deg_m + j] = _log_add(zech, n, prod_[i - deg_m + j], (lead + c) % n)
+        prod_[i] = -1
+    return prod_[:deg_m], count
 
 
-def _poly_eval(
-    field: FieldSpec, poly: Sequence[FieldElement], x: FieldElement, ops: OpCounter
-) -> FieldElement:
-    acc = field.zero()
-    for c in reversed(list(poly)):
-        ops.mul += 1
-        ops.add += 1
-        acc = field.add(field.mul(acc, x), c)
+def _poly_eval(zech: Sequence[int], n: int, poly: Sequence[int], x: int) -> int:
+    acc = -1
+    for c in reversed(poly):
+        acc = _log_add(zech, n, _log_mul(n, acc, x), c)
     return acc
 
 
@@ -226,34 +218,41 @@ def decode_s2(
     ``r(x) = x^s mod p(x)``; scaled by the product of the betas it equals the
     product of ``(x + alpha_i)`` over the error positions, so its roots at
     ``-alpha_i`` (including i = 0) locate the errors.
+
+    ``ops`` counts the field multiplications and additions of schoolbook
+    polynomial arithmetic, one of each per weighted-sum term, per product of
+    nonzero coefficients, per modulus coefficient of each reduction step and
+    per Horner step; a table lookup counts as the operation it replaces.
     """
     if len(y) != ctx.q:
         raise DomainError(f"received vector must have length {ctx.q}")
     f = ctx.field
-    ops = OpCounter()
-    s = 0
-    for yi, si in zip(y, ctx.svals):
-        ops.mul += 1
-        ops.add += 1
-        s += yi * si
-    s %= ctx.N
+    n, zech = f.size - 1, f.tables()[2]
+    count = ctx.q
+    s = sum(yi * si for yi, si in zip(y, ctx.svals)) % ctx.N
 
     # r(x) = x^s mod p(x) by left-to-right square and multiply.
-    one_poly = [f.one()]
-    x_poly = [f.zero(), f.one()]
-    r = list(one_poly)
+    minus_one = f.log(f.element([-1]))  # n/2 for odd p; 0 for p = 2, where -1 = 1
+    minus_modulus = [_log_mul(n, c, minus_one) for c in ctx.min_poly[:-1]]
+    x_poly = [-1, 0]
+    r = [0]
     if s:
         for bit in bin(s)[2:]:
-            r = _poly_mul_mod(f, r, r, ctx.min_poly, ops)
+            r, spent = _poly_mul_mod(zech, n, r, r, minus_modulus)
+            count += spent
             if bit == "1":
-                r = _poly_mul_mod(f, r, x_poly, ctx.min_poly, ops)
-    r = _poly_trim(f, r)
+                r, spent = _poly_mul_mod(zech, n, r, x_poly, minus_modulus)
+                count += spent
+    r = _poly_trim(r)
     degree = len(r) - 1 if r else 0
 
     positions = []
     for i, alpha in enumerate(ctx.alphas):
-        if _poly_eval(f, r, f.neg(alpha), ops) == f.zero():
+        if _poly_eval(zech, n, r, _log_mul(n, alpha, minus_one)) < 0:
             positions.append(i)
+    count += len(ctx.alphas) * len(r)
+    ops = OpCounter()
+    ops.mul = ops.add = count
 
     if degree != len(positions):
         return S2DecodeResult("fail", None, tuple(positions), ops)
@@ -266,18 +265,16 @@ def decode_s2(
     if verify_identity and positions:
         # The monic normalisations of (prod beta_i) r(x) and prod (x + alpha_i)
         # must coincide; reducing s mod N leaves a subfield unit on r.
-        beta_prod = f.one()
+        beta_prod = sum(ctx.betas[i] for i in positions) % n
+        lhs = _monic(n, [_log_mul(n, beta_prod, c) for c in r])
+        rhs = [0]
         for i in positions:
-            beta_prod = f.mul(beta_prod, ctx.betas[i])
-        lhs = _monic(f, [f.mul(beta_prod, c) for c in r])
-        rhs: list[FieldElement] = [f.one()]
-        for i in positions:
-            nxt = [f.zero()] * (len(rhs) + 1)
+            nxt = [-1] * (len(rhs) + 1)
             for j, c in enumerate(rhs):
-                nxt[j + 1] = f.add(nxt[j + 1], c)
-                nxt[j] = f.add(nxt[j], f.mul(c, ctx.alphas[i]))
+                nxt[j + 1] = _log_add(zech, n, nxt[j + 1], c)
+                nxt[j] = _log_add(zech, n, nxt[j], _log_mul(n, c, ctx.alphas[i]))
             rhs = nxt
-        if lhs != _monic(f, rhs):
+        if lhs != _monic(n, rhs):
             return S2DecodeResult("fail", None, tuple(positions), ops)
 
     return S2DecodeResult("ok", tuple(corrected), tuple(positions), ops)

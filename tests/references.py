@@ -13,6 +13,13 @@ The package's B_t and k-fold Sidon searches test each candidate only against
 the sums and relations it adds; the references below re-run the full public
 checker on every candidate set, and triviality of a Sidon solution is decided
 by trying every partition.
+
+The package keeps field elements packed into integers, with power, log and
+Zech tables, and decodes the B_t-set lattice on discrete logs
+(:func:`magball.decode_s2`); the references keep coefficient tuples,
+multiply them schoolbook modulo the field polynomial, take logs from a
+power table walked one multiplication by x at a time, and decode with that
+tuple arithmetic, counting the same field operations.
 """
 
 from itertools import combinations, product
@@ -22,14 +29,18 @@ from magball import (
     BallSpec,
     BtSet,
     DomainError,
+    FieldSpec,
     GroupElement,
     GroupSpec,
+    S2Data,
     SidonParams,
     ball_size,
     is_bt_set,
     is_kfold_sidon,
     smith_normal_form,
 )
+from magball.algebra import FieldElement
+from magball.codec import OpCounter
 from magball.limits import check
 
 
@@ -147,3 +158,181 @@ def trivial_solution_by_partitions(cs: Sequence[int], xs: Sequence[int]) -> bool
         if len({xs[i] for i in part}) <= 1 and len({xs[i] for i in rest}) <= 1:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# finite fields on coefficient tuples
+# ---------------------------------------------------------------------------
+
+
+def mul_by_x(p: int, modulus: tuple[int, ...], e: FieldElement) -> FieldElement:
+    """Multiply by the residue class of x with one reduction step."""
+    m = len(modulus) - 1
+    carry = e[m - 1]
+    shifted = (0,) + e[: m - 1]
+    if carry == 0:
+        return shifted
+    return tuple((s - carry * modulus[i]) % p for i, s in enumerate(shifted))
+
+
+def mul_mod(p: int, modulus: tuple[int, ...], a: FieldElement, b: FieldElement) -> FieldElement:
+    """Product of two residues mod the monic ``modulus`` over ``F_p``."""
+    m = len(modulus) - 1
+    out = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for top in range(2 * m - 2, m - 1, -1):
+        c = out[top] % p
+        if c:
+            for i in range(m):
+                out[top - m + i] -= c * modulus[i]
+    return tuple(c % p for c in out[:m])
+
+
+def power_table(field: FieldSpec) -> tuple[list[FieldElement], dict[FieldElement, int]]:
+    """The powers of x, one ``mul_by_x`` each, and the map back to exponents."""
+    powers = [field.one()]
+    for _ in range(field.size - 2):
+        powers.append(mul_by_x(field.p, field.modulus, powers[-1]))
+    log = {e: i for i, e in enumerate(powers)}
+    if len(log) != field.size - 1:
+        raise DomainError("modulus is not primitive: power table is degenerate")
+    return powers, log
+
+
+class TupleField:
+    """``F_{p^m}`` on coefficient tuples: schoolbook products, powers by
+    square-and-multiply and inverses by Fermat, with no tables."""
+
+    def __init__(self, field: FieldSpec) -> None:
+        self.p, self.modulus, self.size = field.p, field.modulus, field.size
+        self.zero, self.one, self.gen = field.zero(), field.one(), field.gen()
+
+    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a: FieldElement) -> FieldElement:
+        return tuple(-x % self.p for x in a)
+
+    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        return mul_mod(self.p, self.modulus, a, b)
+
+    def pow(self, a: FieldElement, e: int) -> FieldElement:
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        acc = self.one
+        for bit in bin(e)[2:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, a)
+        return acc
+
+    def inv(self, a: FieldElement) -> FieldElement:
+        if a == self.zero:
+            raise DomainError("zero has no inverse")
+        return self.pow(a, self.size - 2)
+
+
+def _poly_mul_mod_by_tuples(f: TupleField, a, b, modulus, ops: OpCounter) -> list[FieldElement]:
+    prod_ = [f.zero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == f.zero:
+            continue
+        for j, cb in enumerate(b):
+            if cb == f.zero:
+                continue
+            ops.mul += 1
+            ops.add += 1
+            prod_[i + j] = f.add(prod_[i + j], f.mul(ca, cb))
+    deg_m = len(modulus) - 1
+    for i in range(len(prod_) - 1, deg_m - 1, -1):
+        lead = prod_[i]
+        if lead == f.zero:
+            continue
+        for j in range(deg_m):
+            ops.mul += 1
+            ops.add += 1
+            prod_[i - deg_m + j] = f.sub(prod_[i - deg_m + j], f.mul(lead, modulus[j]))
+        prod_[i] = f.zero
+    return prod_[:deg_m]
+
+
+def _monic_by_tuples(f: TupleField, poly: Sequence[FieldElement]) -> list[FieldElement]:
+    out = list(poly)
+    while out and out[-1] == f.zero:
+        out.pop()
+    if not out:
+        return out
+    inv_lead = f.inv(out[-1])
+    return [f.mul(c, inv_lead) for c in out]
+
+
+def min_poly_by_tuples(field: FieldSpec, q: int, degree: int) -> list[FieldElement]:
+    """prod (y - x^(q^i)) for i in [0, degree) on coefficient tuples."""
+    f = TupleField(field)
+    poly, conj = [f.one], f.gen
+    for _ in range(degree):
+        nxt = [f.zero] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            nxt[i + 1] = f.add(nxt[i + 1], c)
+            nxt[i] = f.sub(nxt[i], f.mul(c, conj))
+        poly = nxt
+        conj = f.pow(conj, q)
+    return poly
+
+
+def decode_s2_by_tuples(
+    data: S2Data, y: Sequence[int], verify_identity: bool = False
+) -> tuple[str, tuple[int, ...] | None, tuple[int, ...], OpCounter]:
+    """The locator-polynomial decoder on coefficient tuples: status,
+    codeword, positions and the field operations counted."""
+    f = TupleField(data.field)
+    min_poly = min_poly_by_tuples(data.field, data.q, data.t + 1)
+    ops = OpCounter()
+    ops.mul = ops.add = data.q  # one of each per weighted-sum term
+    s = sum(yi * si for yi, si in zip(y, data.svals)) % data.N
+    r = [f.one]
+    if s:
+        for bit in bin(s)[2:]:
+            r = _poly_mul_mod_by_tuples(f, r, r, min_poly, ops)
+            if bit == "1":
+                r = _poly_mul_mod_by_tuples(f, r, [f.zero, f.one], min_poly, ops)
+    while r and r[-1] == f.zero:
+        r.pop()
+    degree = len(r) - 1 if r else 0
+    positions = []
+    for i, alpha in enumerate(data.alphas):
+        acc = f.zero
+        for c in reversed(r):
+            ops.mul += 1
+            ops.add += 1
+            acc = f.add(f.mul(acc, f.neg(alpha)), c)
+        if acc == f.zero:
+            positions.append(i)
+    fail = ("fail", None, tuple(positions), ops)
+    if degree != len(positions):
+        return fail
+    corrected = list(y)
+    for i in positions:
+        corrected[i] -= 1
+    if sum(c * si for c, si in zip(corrected, data.svals)) % data.N != 0:
+        return fail
+    if verify_identity and positions:
+        beta_prod = f.one
+        for i in positions:
+            beta_prod = f.mul(beta_prod, data.betas[i])
+        rhs = [f.one]
+        for i in positions:
+            nxt = [f.zero] * (len(rhs) + 1)
+            for j, c in enumerate(rhs):
+                nxt[j + 1] = f.add(nxt[j + 1], c)
+                nxt[j] = f.add(nxt[j], f.mul(c, data.alphas[i]))
+            rhs = nxt
+        if _monic_by_tuples(f, [f.mul(beta_prod, c) for c in r]) != _monic_by_tuples(f, rhs):
+            return fail
+    return "ok", tuple(corrected), tuple(positions), ops

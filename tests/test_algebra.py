@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from magball import (
     DomainError,
+    FieldSpec,
     GroupSpec,
     discrete_log,
     find_primitive_polynomial,
@@ -14,26 +16,25 @@ from magball import (
     scalar_mul,
 )
 from magball.algebra import _is_primitive, factor_prime_power, is_prime, subfield_elements
-from references import subgroup_order, subgroup_order_by_diagonalization
+from references import (
+    TupleField,
+    mul_by_x,
+    power_table,
+    subgroup_order,
+    subgroup_order_by_diagonalization,
+)
 
 
 # --- independent oracle: order of x in F_p[x]/(f) by schoolbook arithmetic ---
 
-def _poly_mod_mul_by_x(p, modulus, e):
-    m = len(modulus) - 1
-    carry = e[-1]
-    shifted = [0] + list(e[:-1])
-    return tuple((s - carry * modulus[i]) % p for i, s in enumerate(shifted))
-
-
 def _oracle_order_of_x(p, modulus):
     m = len(modulus) - 1
     one = tuple([1] + [0] * (m - 1))
-    cur = _poly_mod_mul_by_x(p, modulus, one)
+    cur = mul_by_x(p, modulus, one)
     for k in range(1, p**m):
         if cur == one:
             return k
-        cur = _poly_mod_mul_by_x(p, modulus, cur)
+        cur = mul_by_x(p, modulus, cur)
     return None
 
 
@@ -97,6 +98,25 @@ class TestPrimitivePolynomials:
     def test_large_fields_are_pinned(self, p, m, modulus):
         assert find_primitive_polynomial(p, m).modulus == modulus
 
+    def test_first_primitive_polynomials_are_pinned(self):
+        # Found by the search over tuple arithmetic; coefficients constant term first.
+        pins = {
+            (2, 1): "11", (2, 2): "111", (2, 3): "1101", (2, 4): "11001", (2, 5): "101001",
+            (2, 6): "1100001", (2, 7): "11000001", (2, 8): "101110001",
+            (2, 9): "1000100001", (2, 10): "10010000001", (2, 11): "101000000001",
+            (2, 12): "1100101000001", (2, 13): "11011000000001",
+            (2, 14): "110101000000001", (2, 15): "1100000000000001",
+            (2, 16): "10110100000000001",
+            (3, 1): "11", (3, 2): "211", (3, 3): "1201", (3, 4): "21001", (3, 5): "120001",
+            (3, 6): "2100001", (3, 7): "12100001", (3, 8): "200100001",
+            (5, 1): "21", (5, 2): "211", (5, 3): "2301", (5, 4): "22101", (5, 5): "240001",
+            (7, 1): "21", (7, 2): "311", (7, 3): "2301", (7, 4): "53101",
+            (11, 1): "31", (11, 2): "711", (11, 3): "4101",
+            (13, 1): "21", (13, 2): "211", (13, 3): "6101",
+        }
+        for (p, m), modulus in pins.items():
+            assert find_primitive_polynomial(p, m).modulus == tuple(map(int, modulus)), (p, m)
+
 
 class TestDiscreteLog:
     def test_f4_examples(self):
@@ -123,6 +143,75 @@ class TestDiscreteLog:
         assert seen == set(range(p**m - 1))
 
 
+# Fields small enough for the tuple reference's power table.
+SMALL_FIELDS = [(2, m) for m in (1, 2, 3, 5, 8)] + [(3, m) for m in (1, 2, 4)] + [
+    (p, m) for p in (5, 7) for m in (1, 2, 3)
+]
+
+
+@lru_cache(maxsize=None)
+def _tuple_reference(p, m):
+    field = find_primitive_polynomial(p, m)
+    return field, TupleField(field), power_table(field)
+
+
+@st.composite
+def _field_case(draw):
+    p, m = draw(st.sampled_from(SMALL_FIELDS))
+    element = st.tuples(*[st.integers(0, p - 1)] * m)
+    return (p, m), draw(element), draw(element), draw(st.integers(-3 * p**m, 3 * p**m))
+
+
+class TestPackedFieldAgainstTuples:
+    @given(_field_case())
+    def test_operations_agree(self, case):
+        (p, m), a, b, e = case
+        field, ref, (powers, log) = _tuple_reference(p, m)
+        assert field.mul(a, b) == ref.mul(a, b)
+        assert field.pow(a, abs(e)) == ref.pow(a, abs(e))
+        assert field.power_of_gen(e) == powers[e % (field.size - 1)]
+        if a == field.zero():
+            for op in (field.inv, lambda z: field.pow(z, -1), lambda z: discrete_log(field, z)):
+                with pytest.raises(DomainError):
+                    op(a)
+        else:
+            assert field.inv(a) == ref.inv(a)
+            assert field.pow(a, e) == ref.pow(a, e)
+            assert discrete_log(field, a) == log[a]
+
+    @pytest.mark.parametrize("p,m", SMALL_FIELDS)
+    def test_tables_match_the_power_table(self, p, m):
+        field, ref, (powers, log) = _tuple_reference(p, m)
+        exp, packed_log, zech = field.tables()
+        assert [field.unpack(v) for v in exp] == powers
+        assert [packed_log[field.pack(e)] for e in powers] == list(range(field.size - 1))
+        assert packed_log[0] == -1
+        # zech[k] = log(1 + x^k), -1 where that sum is zero
+        assert list(zech) == [log.get(ref.add(ref.one, e), -1) for e in powers]
+
+    @pytest.mark.parametrize(
+        "e", [(1, 0), [1, 0, 1, 0, 0], (2, 0, 0, 0), (1, -1, 0, 0), (True, 0, 0, 0),
+              (1.0, 0, 0, 0), ("1", 0, 0, 0), "1000", 5],
+    )
+    def test_pack_rejects_what_is_not_an_element(self, e):
+        field = find_primitive_polynomial(2, 4)
+        for op in (field.pack, field.log, lambda z: discrete_log(field, z), lambda z: field.mul(z, z)):
+            with pytest.raises(DomainError, match="not an element of F_2"):
+                op(e)
+
+    def test_a_list_is_an_element_too(self):
+        field = find_primitive_polynomial(3, 2)
+        assert field.pack([1, 2]) == field.pack((1, 2)) == 7
+        assert discrete_log(field, [0, 1]) == 1
+
+    # x^2: x is nilpotent; x^4 + x^3 + x^2 + x + 1: irreducible, x has order 5
+    @pytest.mark.parametrize("modulus", [(0, 0, 1), (1, 1, 1, 1, 1)])
+    def test_non_primitive_modulus_is_rejected_at_table_build(self, modulus):
+        field = FieldSpec(2, len(modulus) - 1, modulus)
+        with pytest.raises(DomainError, match="not primitive"):
+            field.tables()
+
+
 class TestGroupOps:
     def test_componentwise_add(self):
         g = GroupSpec((8, 5))
@@ -135,6 +224,11 @@ class TestGroupOps:
     def test_zero_scalar_gives_identity(self):
         g = GroupSpec((8, 5))
         assert scalar_mul(0, g.element((3, 4))) == g.identity()
+
+    @pytest.mark.parametrize("residues", [1, [3], ["1", 2], [1.5, 2], [True, 2], "12"])
+    def test_residues_that_are_not_a_list_of_ints_are_rejected(self, residues):
+        with pytest.raises(DomainError):
+            GroupSpec((8, 5)).element(residues)
 
     def test_spec_mismatch_rejected(self):
         a = GroupSpec((8,)).element((1,))

@@ -74,6 +74,19 @@ class TestConstructVerifyIntegration:
         assert set(manifest["digests"]) == {"cp.splitter.json", "cp.density.json"}
         assert manifest["command"] == "construct"
 
+    @pytest.mark.parametrize(
+        "flags, seed",
+        [
+            (["--family", "bose-chowla-10", "--q", "4", "--t", "2"], None),
+            (["--family", "lambda-random", "--N", "53", "--t", "2", "--kplus", "1",
+              "--kminus", "0", "--epsilon", "0.25", "--seed", "7"], 7),
+        ],
+    )
+    def test_manifest_seed_only_for_the_seeded_family(self, tmp_path, capsys, flags, seed):
+        assert main(["construct", *flags, "--out-dir", str(tmp_path), "--prefix", "m"]) == 0
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        assert manifest.get("seed") == seed and ("seed" in manifest) == (seed is not None)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
             (tmp_path / sub).mkdir()
@@ -421,6 +434,42 @@ class TestMalformedInput:
         assert main([*command, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and str(path) in captured.err
+
+    # An s2-q4-t2 context lives in F_2^6; position 1's alpha is replaced.
+    @pytest.mark.parametrize(
+        "key, element",
+        [
+            ("alphas", [1, 0, 0, 0, 0, 0, 0]),
+            ("alphas", [3, 0, 0, 0, 0, 0]),
+            ("alphas", "1"),
+            ("alphas", ["1", 0, 0, 0, 0, 0]),
+            ("alphas", [1, 0, 0, 0, 0]),
+            ("betas", [True, 0, 0, 0, 0, 0]),
+        ],
+    )
+    def test_malformed_s2_field_element_is_exit_2(self, tmp_path, capsys, key, element):
+        main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+              "--variant", "s2", "--out-dir", str(tmp_path), "--prefix", "bc"])
+        context = tmp_path / "bc.decoder.json"
+        data = json.loads(context.read_text())
+        data[key][1] = element
+        context.write_text(json.dumps(data))
+        vectors = tmp_path / "in.jsonl"
+        vectors.write_text("[0,0,0,0]\n")
+        capsys.readouterr()
+        rc = main(["decode", "--context", str(context), "--in", str(vectors)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"{element!r} is not an element of F_2^6" in captured.err
+
+    @pytest.mark.parametrize("elements", [[1, [3], [7]], [["x"]], [[1.5]]])
+    def test_splitter_element_that_is_not_a_list_of_ints_is_exit_2(self, tmp_path, capsys, elements):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"group": [8], "elements": elements, "kplus": 1,
+                                    "kminus": 0, "t": 1}))
+        assert main(["verify", "--kind", "packing", "--splitter", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "is not a list of integer residues" in captured.err
 
     @pytest.mark.parametrize("error", [KeyError, TypeError])
     def test_error_below_from_json_is_not_exit_2(self, artifacts, monkeypatch, error):

@@ -24,6 +24,7 @@ from magball import (
 )
 from magball.errors import ResourceLimitError
 from magball.limits import limits_overridden
+from references import decode_s2_by_tuples, min_poly_by_tuples
 
 
 def _binary_patterns(n, t):
@@ -153,11 +154,63 @@ class TestS2Decoder:
         # Doubling n should not blow past a generous linear envelope.
         assert averages[16] < 3 * averages[8]
 
+    def test_zero_beta_is_rejected(self, s2_ctx):
+        data = s2_ctx.to_json()
+        data["betas"][1] = [0] * 6
+        with pytest.raises(DomainError, match="violate"):
+            S2DecoderContext.from_json(data)
+
+    def test_an_alpha_without_a_position_is_rejected(self, s2_ctx):
+        data = s2_ctx.to_json()
+        data["alphas"].append(data["alphas"][1])
+        with pytest.raises(DomainError, match="one entry per position"):
+            S2DecoderContext.from_json(data)
+
     def test_context_serialization_round_trip(self, s2_ctx):
         other = S2DecoderContext.from_json(s2_ctx.to_json())
         assert other.svals == s2_ctx.svals
         assert other.min_poly == s2_ctx.min_poly
         assert decode_s2(other, (0, 1, 1, 0)).codeword == (0, 0, 0, 0)
+
+
+def _s2_vectors(data, count, seed):
+    """Codewords plus binary errors of every weight up to t + 1, and
+    vectors that are not near any chosen codeword."""
+    rng = random.Random(seed)
+    q, N, svals = data.q, data.N, data.svals
+    inv0 = pow(svals[0], -1, N)
+    out = []
+    for k in range(count):
+        x = [rng.randint(-9, 9) for _ in range(q)]
+        # solve position 0 so that sum x_i s_i = 0 mod N
+        x[0] = -sum(a * s for a, s in zip(x[1:], svals[1:])) * inv0 % N
+        errors = [0] * q
+        for i in rng.sample(range(q), min(q, k % (data.t + 2))):
+            errors[i] = 1
+        out.append([a + e for a, e in zip(x, errors)])
+    out += [[rng.randint(-5, 5) for _ in range(q)] for _ in range(count // 4)]
+    return out
+
+
+class TestS2AgainstTuples:
+    @pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 16, 27])
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_decode_matches_the_tuple_decoder(self, q, t):
+        data = bose_chowla_s2(q, t)
+        ctx = S2DecoderContext.from_s2(data)
+        f = data.field
+        assert [f.zero() if c < 0 else f.power_of_gen(c) for c in ctx.min_poly] == (
+            min_poly_by_tuples(f, q, t + 1)
+        )
+        oks = 0
+        for y in _s2_vectors(data, 24 if q**t > 10**4 else 60, seed=q * 10 + t):
+            for verify_identity in (False, True):
+                got = decode_s2(ctx, y, verify_identity=verify_identity)
+                status, codeword, positions, ops = decode_s2_by_tuples(data, y, verify_identity)
+                assert (got.status, got.codeword, got.positions) == (status, codeword, positions)
+                assert (got.ops.mul, got.ops.add) == (ops.mul, ops.add)
+                oks += got.status == "ok"
+        assert oks  # the comparison covered successful decodes, not only failures
 
 
 class TestSyndromeTable:
