@@ -5,7 +5,6 @@ from .algebra import (
     FieldSpec,
     GroupElement,
     GroupSpec,
-    discrete_log,
     find_primitive_polynomial,
     group_add,
     group_neg,
@@ -37,7 +36,6 @@ from .constructions import (
     is_bt_set,
     is_kfold_sidon,
     kfold_sidon_splitter,
-    nonlinear_code_pack,
     product_splitter,
     sample_lambda_splitter,
     search_bt_set,

@@ -4,7 +4,10 @@ Groups are products of cyclic groups ``Z_m1 x ... x Z_mr`` with elements kept
 reduced at all times.  Fields ``F_{p^m}`` are realised as ``F_p[x]/(f)`` for a
 monic primitive ``f``, so the residue class of ``x`` generates the
 multiplicative group; one table build over elements packed into integers
-gives discrete and Zech logarithms.  All types are immutable.
+gives discrete and Zech logarithms.  Inside the package a field element is
+its discrete log, with -1 for zero: a product adds logs and a sum is one Zech
+lookup.  Coefficient tuples are only the JSON form.  All types are
+immutable.
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import isqrt
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .limits import check
-
-FieldElement = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,12 @@ class FieldSpec:
     """``F_{p^m}`` as ``F_p[x]/(modulus)`` with primitive residue class ``x``.
 
     ``modulus`` is the coefficient tuple in ascending degree order, monic of
-    degree ``m``.  Elements are coefficient tuples at this interface; inside,
-    ``c_0 + ... + c_{m-1} x^{m-1}`` is the packed integer ``sum c_i p^i`` and
-    arithmetic runs on the tables of :func:`_field_tables`.
+    degree ``m``.  The package holds an element as its discrete log (-1 for
+    zero) and computes with :func:`_log_mul`, :func:`_log_add` and the tables
+    of :func:`_field_tables`, where ``c_0 + ... + c_{m-1} x^{m-1}`` is the
+    packed integer ``sum c_i p^i``.  Coefficient tuples appear only in
+    :meth:`pack`, :meth:`unpack`, :meth:`log` and :meth:`power_of_gen`, for
+    the JSON form.
     """
 
     p: int
@@ -180,23 +184,10 @@ class FieldSpec:
     def size(self) -> int:
         return self.p**self.m
 
-    def zero(self) -> FieldElement:
-        return (0,) * self.m
-
-    def one(self) -> FieldElement:
-        return (1,) + (0,) * (self.m - 1)
-
-    def gen(self) -> FieldElement:
-        """The residue class of ``x`` (reduced when ``m == 1``)."""
-        if self.m == 1:
-            return ((-self.modulus[0]) % self.p,)
-        return (0, 1) + (0,) * (self.m - 2)
-
-    def element(self, coeffs: Sequence[int]) -> FieldElement:
-        if len(coeffs) > self.m:
-            raise DomainError("coefficient vector longer than the field degree")
-        padded = list(coeffs) + [0] * (self.m - len(coeffs))
-        return tuple(c % self.p for c in padded)
+    @property
+    def minus_one(self) -> int:
+        """The log of -1: 0 for p = 2, where -1 = 1, else ``(p^m - 1)/2``."""
+        return 0 if self.p == 2 else (self.size - 1) // 2
 
     def pack(self, e: Sequence[int]) -> int:
         """``sum c_i p^i`` for an element given as a list or tuple of ``m``
@@ -206,7 +197,7 @@ class FieldSpec:
             raise DomainError(f"{e!r} is not an element of F_{self.p}^{self.m}")
         return _pack(self.p, e)
 
-    def unpack(self, v: int) -> FieldElement:
+    def unpack(self, v: int) -> tuple[int, ...]:
         return tuple(v // self.p**i % self.p for i in range(self.m))
 
     def tables(self) -> tuple[array, array, array]:
@@ -217,41 +208,7 @@ class FieldSpec:
         """The exponent d with ``x^d = e``, or -1 for zero."""
         return _field_tables(self)[1][self.pack(e)]
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        return tuple((-x) % self.p for x in a)
-
-    def scale(self, c: int, a: FieldElement) -> FieldElement:
-        return tuple((c * x) % self.p for x in a)
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        la, lb = self.log(a), self.log(b)
-        if la < 0 or lb < 0:
-            return self.zero()
-        return self.power_of_gen(la + lb)
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        la = self.log(a)
-        if la < 0:
-            raise DomainError("zero has no inverse")
-        return self.power_of_gen(-la)
-
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        la = self.log(a)
-        if la < 0:
-            if e == 0:
-                return self.one()
-            if e < 0:
-                raise DomainError("zero has no inverse")
-            return self.zero()
-        return self.power_of_gen(la * e)
-
-    def power_of_gen(self, e: int) -> FieldElement:
+    def power_of_gen(self, e: int) -> tuple[int, ...]:
         return self.unpack(_field_tables(self)[0][e % (self.size - 1)])
 
     def to_json(self) -> dict:
@@ -382,24 +339,42 @@ def _field_tables(spec: FieldSpec) -> tuple[array, array, array]:
     return exp, log, zech
 
 
-def discrete_log(field: FieldSpec, e: Sequence[int]) -> int:
-    """The exponent d with x^d = e; requires e != 0."""
-    d = field.log(e)
-    if d < 0:
-        raise DomainError("discrete log of zero is undefined")
-    return d
-
-
-def subfield_elements(field: FieldSpec, q: int) -> list[FieldElement]:
-    """Elements of the subfield of size ``q``, zero first then powers of the
-    canonical subfield generator x^((p^m - 1)/(q - 1))."""
-    total = field.size - 1
-    if q < 2 or (q > 2 and total % (q - 1) != 0):
+def subfield_logs(field: FieldSpec, q: int) -> list[int]:
+    """Logs of the subfield of size ``q = p^k`` (``k | m``): -1 for zero,
+    then the powers of its generator x^((p^m - 1)/(q - 1))."""
+    p, k = factor_prime_power(q)
+    if p != field.p or field.m % k:
         raise DomainError(f"no subfield of size {q} in a field of size {field.size}")
-    out: list[FieldElement] = [field.zero()]
-    if q == 2:
-        out.append(field.one())
-        return out
-    step = total // (q - 1)
-    out.extend(field.power_of_gen(j * step) for j in range(q - 1))
-    return out
+    step = (field.size - 1) // (q - 1)
+    return [-1] + [j * step for j in range(q - 1)]
+
+
+# Below the JSON boundary a field element is its discrete log to the base x,
+# with -1 for zero, and n = p^m - 1 is the order of x.
+
+
+def _log_mul(n: int, a: int, b: int) -> int:
+    return -1 if a < 0 or b < 0 else (a + b) % n
+
+
+def _log_add(zech: Sequence[int], n: int, a: int, b: int) -> int:
+    """x^a + x^b = x^a (1 + x^(b - a))."""
+    if a < 0:
+        return b
+    if b < 0:
+        return a
+    z = zech[(b - a) % n]
+    return -1 if z < 0 else (a + z) % n
+
+
+def _poly_from_roots(field: FieldSpec, root_logs: Iterable[int]) -> list[int]:
+    """Coefficient logs, low degree first, of prod (y - x^r) over the root
+    logs r (-1 for a zero root)."""
+    n, zech = field.size - 1, field.tables()[2]
+    poly = [0]
+    for r in root_logs:
+        minus_root = _log_mul(n, r, field.minus_one)
+        # y * poly - root * poly: coefficient i is poly[i - 1] - root * poly[i]
+        poly = [_log_add(zech, n, hi, _log_mul(n, lo, minus_root))
+                for hi, lo in zip([-1, *poly], [*poly, -1])]
+    return poly

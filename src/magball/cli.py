@@ -86,10 +86,11 @@ def _density(artifact: SplitterSet | LatticeBasis, ball: BallSpec) -> dict:
 
 def _load(path: str, from_json):
     """``from_json`` of the JSON object in the file ``path``.  Bad JSON, a
-    top level that is not an object, and a field that a ``from_json`` cannot
-    read (the error is raised in a ``from_json``, or in a comprehension
-    there) raise DomainError.  An error raised in code that a ``from_json``
-    calls is a bug and propagates."""
+    top level that is not an object, a DomainError from anywhere below
+    ``from_json``, and a field that a ``from_json`` cannot read (the error is
+    raised in a ``from_json``, or in a comprehension there) raise a
+    DomainError that names ``path``.  Any other error raised in code that a
+    ``from_json`` calls is a bug and propagates."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -98,13 +99,15 @@ def _load(path: str, from_json):
         raise DomainError(f"{path}: expected a JSON object, not {type(data).__name__}")
     try:
         return from_json(data)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         tb, last = exc.__traceback__, None
         while tb is not None:
             if not tb.tb_frame.f_code.co_name.startswith("<"):
                 last = tb.tb_frame.f_code.co_name
             tb = tb.tb_next
-        if last != "from_json" or isinstance(exc, MagballError):
+        if last != "from_json":
             raise
         raise DomainError(f"{path}: malformed document ({type(exc).__name__}: {exc})") from exc
 

@@ -7,7 +7,9 @@ Two schemes are implemented:
 * the locator-polynomial decoder for the lattice of the size-(q+1) B_t set:
   the weighted power sum of the received vector is turned into
   ``r(x) = x^s mod p(x)`` over the subfield, whose roots ``-alpha_i`` name
-  the error positions.
+  the error positions.  It computes on the discrete logs and the
+  arithmetic of :mod:`magball.algebra`; coefficient tuples appear only in
+  the context's JSON form.
 
 Decode failure is an explicit result status, never an exception, so batches
 keep flowing.
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .algebra import FieldSpec, GroupSpec
+from .algebra import FieldSpec, GroupSpec, _log_add, _log_mul, _poly_from_roots
 from .ball import BallSpec, ball_images, ball_size
 from .constructions import LinearCode, S2Data
 from .errors import DomainError
@@ -70,9 +72,7 @@ class S2DecoderContext:
 
     @classmethod
     def from_s2(cls, data: S2Data) -> "S2DecoderContext":
-        f = data.field
-        alphas, betas = tuple(map(f.log, data.alphas)), tuple(map(f.log, data.betas))
-        return cls(data.q, data.t, data.N, f, alphas, data.svals, betas)
+        return cls(data.q, data.t, data.N, data.field, data.alphas, data.svals, data.betas)
 
     def validate(self) -> None:
         n, zech = self.field.size - 1, self.field.tables()[2]
@@ -102,7 +102,7 @@ class S2DecoderContext:
             "t": self.t,
             "N": self.N,
             "field": f.to_json(),
-            "alphas": [list(f.zero() if a < 0 else f.power_of_gen(a)) for a in self.alphas],
+            "alphas": [list(f.power_of_gen(a)) if a >= 0 else [0] * f.m for a in self.alphas],
             "svals": list(self.svals),
             "betas": [list(f.power_of_gen(b)) for b in self.betas],  # units
         }
@@ -119,34 +119,11 @@ class S2DecoderContext:
 # n = p^m - 1 is the order of x.
 
 
-def _log_mul(n: int, a: int, b: int) -> int:
-    return -1 if a < 0 or b < 0 else (a + b) % n
-
-
-def _log_add(zech: Sequence[int], n: int, a: int, b: int) -> int:
-    """x^a + x^b = x^a (1 + x^(b - a))."""
-    if a < 0:
-        return b
-    if b < 0:
-        return a
-    z = zech[(b - a) % n]
-    return -1 if z < 0 else (a + z) % n
-
-
 def _min_poly_over_subfield(field: FieldSpec, q: int, degree: int) -> tuple[int, ...]:
-    """prod (y - eta^(q^i)) for i in [0, degree); coefficients land in the
-    size-q subfield, the elements c with c^q = c."""
-    n, zech = field.size - 1, field.tables()[2]
-    poly = [0]
-    conj = 1  # eta = x
-    for _ in range(degree):
-        nxt = [-1] * (len(poly) + 1)
-        minus_conj = _log_mul(n, conj, field.log(field.element([-1])))
-        for i, c in enumerate(poly):
-            nxt[i + 1] = _log_add(zech, n, nxt[i + 1], c)
-            nxt[i] = _log_add(zech, n, nxt[i], _log_mul(n, c, minus_conj))
-        poly = nxt
-        conj = conj * q % n
+    """prod (y - eta^(q^i)) for i in [0, degree) with eta = x; coefficients
+    land in the size-q subfield, the elements c with c^q = c."""
+    n = field.size - 1
+    poly = _poly_from_roots(field, [pow(q, i, n) for i in range(degree)])
     if any(c >= 0 and c * (q - 1) % n for c in poly):
         raise DomainError("minimal polynomial left the subfield")
     return tuple(poly)
@@ -232,7 +209,7 @@ def decode_s2(
     s = sum(yi * si for yi, si in zip(y, ctx.svals)) % ctx.N
 
     # r(x) = x^s mod p(x) by left-to-right square and multiply.
-    minus_one = f.log(f.element([-1]))  # n/2 for odd p; 0 for p = 2, where -1 = 1
+    minus_one = f.minus_one
     minus_modulus = [_log_mul(n, c, minus_one) for c in ctx.min_poly[:-1]]
     x_poly = [-1, 0]
     r = [0]
@@ -267,13 +244,7 @@ def decode_s2(
         # must coincide; reducing s mod N leaves a subfield unit on r.
         beta_prod = sum(ctx.betas[i] for i in positions) % n
         lhs = _monic(n, [_log_mul(n, beta_prod, c) for c in r])
-        rhs = [0]
-        for i in positions:
-            nxt = [-1] * (len(rhs) + 1)
-            for j, c in enumerate(rhs):
-                nxt[j + 1] = _log_add(zech, n, nxt[j + 1], c)
-                nxt[j] = _log_add(zech, n, nxt[j], _log_mul(n, c, ctx.alphas[i]))
-            rhs = nxt
+        rhs = _poly_from_roots(f, [_log_mul(n, ctx.alphas[i], minus_one) for i in positions])
         if lhs != _monic(n, rhs):
             return S2DecodeResult("fail", None, tuple(positions), ops)
 

@@ -11,21 +11,21 @@ import hashlib
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, floor, gcd
 from typing import Sequence
 
 from .algebra import (
-    FieldElement,
     FieldSpec,
     GroupSpec,
-    discrete_log,
+    _log_add,
+    _poly_from_roots,
     factor_prime_power,
     find_primitive_polynomial,
     is_prime,
-    subfield_elements,
+    subfield_logs,
 )
-from .ball import BallSpec, ball_size, enumerate_ball
+from .ball import BallSpec, ball_size
 from .errors import DomainError, OracleDisagreement
 from .lattice import LatticeBasis, basis_from_rows
 from .limits import check
@@ -55,16 +55,17 @@ class BtSet:
 @dataclass(frozen=True)
 class S2Data:
     """The size-(q+1) B_t set over Z_{(q^{t+1}-1)/(q-1)} plus the field data
-    behind it: for every i, ``beta_i * eta^{s_i} == eta + alpha_i``."""
+    behind it: for every i, ``beta_i * eta^{s_i} == eta + alpha_i`` with
+    ``eta = x``.  ``alphas`` and ``betas`` are discrete logs (-1 for zero)."""
 
     bt: BtSet
     field: FieldSpec
     q: int
     t: int
     N: int
-    alphas: tuple[FieldElement, ...]
+    alphas: tuple[int, ...]
     svals: tuple[int, ...]
-    betas: tuple[FieldElement, ...]
+    betas: tuple[int, ...]
 
 
 def bose_chowla_s1(q: int, t: int) -> BtSet:
@@ -73,13 +74,9 @@ def bose_chowla_s1(q: int, t: int) -> BtSet:
         raise DomainError("need t >= 2")
     p, m = factor_prime_power(q)
     field = find_primitive_polynomial(p, m * t)
-    xi = field.gen()
-    N = q**t - 1
-    logs = [
-        discrete_log(field, field.add(xi, alpha))
-        for alpha in subfield_elements(field, q)
-    ]
-    return BtSet(N, tuple(sorted(logs)), t, "S1")
+    n, zech = field.size - 1, field.tables()[2]
+    logs = [_log_add(zech, n, 1, alpha) for alpha in subfield_logs(field, q)]
+    return BtSet(n, tuple(sorted(logs)), t, "S1")
 
 
 def bose_chowla_s2(q: int, t: int) -> S2Data:
@@ -89,17 +86,15 @@ def bose_chowla_s2(q: int, t: int) -> S2Data:
         raise DomainError("need t >= 2")
     p, m = factor_prime_power(q)
     field = find_primitive_polynomial(p, m * (t + 1))
-    eta = field.gen()
-    total = q ** (t + 1) - 1
-    N = total // (q - 1)
-    alphas = tuple(subfield_elements(field, q))
+    n, zech = field.size - 1, field.tables()[2]
+    N = n // (q - 1)
+    alphas = tuple(subfield_logs(field, q))
     svals = []
     betas = []
     for alpha in alphas:
-        d = discrete_log(field, field.add(eta, alpha))
-        s, j = d % N, d // N
-        svals.append(s)
-        betas.append(field.power_of_gen(j * N) if j else field.one())
+        d = _log_add(zech, n, 1, alpha)  # log(eta + alpha), eta = x
+        svals.append(d % N)
+        betas.append(d - d % N)
     elements = set(svals) | {0}
     if len(elements) != q + 1:
         raise DomainError("degenerate S2 data: s-values are not distinct and nonzero")
@@ -605,21 +600,14 @@ def bch_code(p: int, m: int, d: int) -> LinearCode:
 
 
 def _generator_from_roots(field: FieldSpec, exponents: Sequence[int]) -> tuple[int, ...]:
-    """prod (x - xi^j) as a polynomial over the prime field."""
-    poly: list[FieldElement] = [field.one()]
-    for j in exponents:
-        root = field.power_of_gen(j)
-        # multiply poly by (x - root)
-        nxt: list[FieldElement] = [field.zero()] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] = field.add(nxt[i + 1], c)
-            nxt[i] = field.sub(nxt[i], field.mul(c, root))
-        poly = nxt
+    """prod (x - xi^j) as a polynomial over the prime field, whose nonzero
+    elements are the powers of xi^((p^m - 1)/(p - 1))."""
+    step = (field.size - 1) // (field.p - 1)
     out = []
-    for c in poly:
-        if any(c[1:]):
+    for c in _poly_from_roots(field, exponents):
+        if c >= 0 and c % step:
             raise DomainError("generator polynomial left the prime field")
-        out.append(c[0])
+        out.append(field.power_of_gen(c)[0] if c >= 0 else 0)
     return tuple(out)
 
 
@@ -659,60 +647,6 @@ def code_lattice(code: LinearCode, kplus: int, kminus: int) -> LatticeBasis:
             f"code lattice volume {basis.volume} != p^(n-k) = {expected}"
         )
     return basis
-
-
-@dataclass(frozen=True)
-class NonlinearPacking:
-    """Packing descriptor for a translate set lifted from an explicit code."""
-
-    verdict: str
-    q: int
-    codewords: tuple[tuple[int, ...], ...]
-    ball: BallSpec
-    density: Fraction
-    witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-
-
-def nonlinear_code_pack(
-    codewords: Sequence[Sequence[int]], q: int, kplus: int, kminus: int, t: int
-) -> NonlinearPacking:
-    """Verify distance >= 2t+1 and the torus packing for an explicit q-ary code.
-
-    The lifted translate set has period q per coordinate, so packing Z^n is
-    equivalent to the translates being disjoint on the torus Z_q^n.
-    """
-    words = tuple(tuple(int(x) % q for x in w) for w in codewords)
-    if not words:
-        raise DomainError("code must be nonempty")
-    n = len(words[0])
-    if any(len(w) != n for w in words):
-        raise DomainError("codewords must share one length")
-    if len(set(words)) != len(words):
-        raise DomainError("codewords must be distinct")
-    if kplus + kminus >= q:
-        raise DomainError("need kplus + kminus < q")
-    ball = BallSpec(n, t, kplus, kminus)
-    dens = Fraction(len(words) * ball_size(ball), q**n)
-    for a, b in combinations(words, 2):
-        if sum(1 for x, y in zip(a, b) if x != y) < 2 * t + 1:
-            return NonlinearPacking("refuted", q, words, ball, dens, witness=(a, b))
-    check("enumeration", len(words) * ball_size(ball))
-
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for w in words:
-        for e in enumerate_ball(ball):
-            point = tuple((x + y) % q for x, y in zip(w, e))
-            other = seen.get(point)
-            if other is not None and other != w:
-                return NonlinearPacking(
-                    "refuted", q, words, ball, dens, witness=(other, w)
-                )
-            if other == w:
-                return NonlinearPacking(
-                    "refuted", q, words, ball, dens, witness=(w, w)
-                )
-            seen[point] = w
-    return NonlinearPacking("verified", q, words, ball, dens)
 
 
 # ---------------------------------------------------------------------------

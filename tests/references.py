@@ -14,12 +14,14 @@ the sums and relations it adds; the references below re-run the full public
 checker on every candidate set, and triviality of a Sidon solution is decided
 by trying every partition.
 
-The package keeps field elements packed into integers, with power, log and
-Zech tables, and decodes the B_t-set lattice on discrete logs
-(:func:`magball.decode_s2`); the references keep coefficient tuples,
-multiply them schoolbook modulo the field polynomial, take logs from a
-power table walked one multiplication by x at a time, and decode with that
-tuple arithmetic, counting the same field operations.
+The package holds a field element as its discrete log, multiplies by
+adding logs and adds by Zech lookups in tables built over elements packed
+into integers (:mod:`magball.algebra`), and decodes the B_t-set lattice that
+way (:func:`magball.decode_s2`); the references keep coefficient tuples,
+multiply them schoolbook modulo the field polynomial, take logs from a power
+table walked one multiplication by x at a time, read the package's logs back
+as powers of x by square-and-multiply, and decode with that tuple
+arithmetic, counting the same field operations.
 """
 
 from itertools import combinations, product
@@ -39,9 +41,10 @@ from magball import (
     is_kfold_sidon,
     smith_normal_form,
 )
-from magball.algebra import FieldElement
 from magball.codec import OpCounter
 from magball.limits import check
+
+FieldElement = tuple[int, ...]
 
 
 def enumerate_ball_by_loops(spec: BallSpec) -> Iterator[tuple[int, ...]]:
@@ -193,7 +196,7 @@ def mul_mod(p: int, modulus: tuple[int, ...], a: FieldElement, b: FieldElement) 
 
 def power_table(field: FieldSpec) -> tuple[list[FieldElement], dict[FieldElement, int]]:
     """The powers of x, one ``mul_by_x`` each, and the map back to exponents."""
-    powers = [field.one()]
+    powers = [(1,) + (0,) * (field.m - 1)]
     for _ in range(field.size - 2):
         powers.append(mul_by_x(field.p, field.modulus, powers[-1]))
     log = {e: i for i, e in enumerate(powers)}
@@ -208,7 +211,8 @@ class TupleField:
 
     def __init__(self, field: FieldSpec) -> None:
         self.p, self.modulus, self.size = field.p, field.modulus, field.size
-        self.zero, self.one, self.gen = field.zero(), field.one(), field.gen()
+        self.zero, self.one = (0,) * field.m, (1,) + (0,) * (field.m - 1)
+        self.gen = mul_by_x(self.p, self.modulus, self.one)
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -236,6 +240,11 @@ class TupleField:
         if a == self.zero:
             raise DomainError("zero has no inverse")
         return self.pow(a, self.size - 2)
+
+    def from_log(self, d: int) -> FieldElement:
+        """x^d by square-and-multiply, zero for d = -1: the package's log form
+        read back without its tables."""
+        return self.zero if d < 0 else self.pow(self.gen, d)
 
 
 def _poly_mul_mod_by_tuples(f: TupleField, a, b, modulus, ops: OpCounter) -> list[FieldElement]:
@@ -290,8 +299,10 @@ def decode_s2_by_tuples(
     data: S2Data, y: Sequence[int], verify_identity: bool = False
 ) -> tuple[str, tuple[int, ...] | None, tuple[int, ...], OpCounter]:
     """The locator-polynomial decoder on coefficient tuples: status,
-    codeword, positions and the field operations counted."""
+    codeword, positions and the field operations counted.  The logs in
+    ``data`` become tuples through :meth:`TupleField.from_log`."""
     f = TupleField(data.field)
+    alphas = list(map(f.from_log, data.alphas))
     min_poly = min_poly_by_tuples(data.field, data.q, data.t + 1)
     ops = OpCounter()
     ops.mul = ops.add = data.q  # one of each per weighted-sum term
@@ -306,7 +317,7 @@ def decode_s2_by_tuples(
         r.pop()
     degree = len(r) - 1 if r else 0
     positions = []
-    for i, alpha in enumerate(data.alphas):
+    for i, alpha in enumerate(alphas):
         acc = f.zero
         for c in reversed(r):
             ops.mul += 1
@@ -325,13 +336,13 @@ def decode_s2_by_tuples(
     if verify_identity and positions:
         beta_prod = f.one
         for i in positions:
-            beta_prod = f.mul(beta_prod, data.betas[i])
+            beta_prod = f.mul(beta_prod, f.from_log(data.betas[i]))
         rhs = [f.one]
         for i in positions:
             nxt = [f.zero] * (len(rhs) + 1)
             for j, c in enumerate(rhs):
                 nxt[j + 1] = f.add(nxt[j + 1], c)
-                nxt[j] = f.add(nxt[j], f.mul(c, data.alphas[i]))
+                nxt[j] = f.add(nxt[j], f.mul(c, alphas[i]))
             rhs = nxt
         if _monic_by_tuples(f, [f.mul(beta_prod, c) for c in r]) != _monic_by_tuples(f, rhs):
             return fail

@@ -9,13 +9,20 @@ from magball import (
     DomainError,
     FieldSpec,
     GroupSpec,
-    discrete_log,
     find_primitive_polynomial,
     group_add,
     group_neg,
     scalar_mul,
 )
-from magball.algebra import _is_primitive, factor_prime_power, is_prime, subfield_elements
+from magball.algebra import (
+    _is_primitive,
+    _log_add,
+    _log_mul,
+    _poly_from_roots,
+    factor_prime_power,
+    is_prime,
+    subfield_logs,
+)
 from references import (
     TupleField,
     mul_by_x,
@@ -121,25 +128,27 @@ class TestPrimitivePolynomials:
 class TestDiscreteLog:
     def test_f4_examples(self):
         f = find_primitive_polynomial(2, 2)
-        assert discrete_log(f, (1, 1)) == 2  # x^2 = x + 1
-        assert discrete_log(f, f.one()) == 0
-        assert discrete_log(f, f.gen()) == 1
+        assert f.log((1, 1)) == 2  # x^2 = x + 1
+        assert f.log((1, 0)) == 0
+        assert f.log((0, 1)) == 1
 
     def test_zero_rejected(self):
+        # Zero is no power of x: its log is -1, which absorbs products.
         f = find_primitive_polynomial(2, 2)
-        with pytest.raises(DomainError):
-            discrete_log(f, f.zero())
+        assert f.log((0, 0)) == -1
+        assert (0, 0) not in {f.power_of_gen(d) for d in range(3)}
+        assert _log_mul(3, -1, 2) == _log_mul(3, 2, -1) == -1
 
     @pytest.mark.parametrize("p,m", [(2, 8), (3, 4), (7, 2)])
     def test_bijection_and_inverse(self, p, m):
         f = find_primitive_polynomial(p, m)
         seen = set()
-        e = f.one()
+        e = (1,) + (0,) * (m - 1)
         for _ in range(p**m - 1):
-            d = discrete_log(f, e)
+            d = f.log(e)
             assert f.power_of_gen(d) == e
             seen.add(d)
-            e = f.mul(e, f.gen())
+            e = mul_by_x(p, f.modulus, e)
         assert seen == set(range(p**m - 1))
 
 
@@ -167,17 +176,12 @@ class TestPackedFieldAgainstTuples:
     def test_operations_agree(self, case):
         (p, m), a, b, e = case
         field, ref, (powers, log) = _tuple_reference(p, m)
-        assert field.mul(a, b) == ref.mul(a, b)
-        assert field.pow(a, abs(e)) == ref.pow(a, abs(e))
-        assert field.power_of_gen(e) == powers[e % (field.size - 1)]
-        if a == field.zero():
-            for op in (field.inv, lambda z: field.pow(z, -1), lambda z: discrete_log(field, z)):
-                with pytest.raises(DomainError):
-                    op(a)
-        else:
-            assert field.inv(a) == ref.inv(a)
-            assert field.pow(a, e) == ref.pow(a, e)
-            assert discrete_log(field, a) == log[a]
+        n, zech = field.size - 1, field.tables()[2]
+        la, lb = field.log(a), field.log(b)
+        assert la == log.get(a, -1) and lb == log.get(b, -1)
+        assert ref.from_log(_log_mul(n, la, lb)) == ref.mul(a, b)
+        assert ref.from_log(_log_add(zech, n, la, lb)) == ref.add(a, b)
+        assert field.power_of_gen(e) == powers[e % n]
 
     @pytest.mark.parametrize("p,m", SMALL_FIELDS)
     def test_tables_match_the_power_table(self, p, m):
@@ -188,6 +192,20 @@ class TestPackedFieldAgainstTuples:
         assert packed_log[0] == -1
         # zech[k] = log(1 + x^k), -1 where that sum is zero
         assert list(zech) == [log.get(ref.add(ref.one, e), -1) for e in powers]
+        assert powers[field.minus_one] == ref.neg(ref.one)
+
+    @given(st.sampled_from(SMALL_FIELDS), st.data())
+    def test_poly_from_roots_matches_the_tuple_product(self, pm, data):
+        field, ref, _ = _tuple_reference(*pm)
+        # -1 is a zero root, as alpha_0 = 0 is in the S2 identity product.
+        roots = data.draw(st.lists(st.integers(-1, field.size - 2), max_size=5))
+        expected = [ref.one]
+        for r in roots:
+            root = ref.from_log(r)
+            expected = [ref.sub(hi, ref.mul(lo, root))
+                        for hi, lo in zip([ref.zero, *expected], [*expected, ref.zero])]
+        got = _poly_from_roots(field, roots)
+        assert [ref.from_log(c) for c in got] == expected
 
     @pytest.mark.parametrize(
         "e", [(1, 0), [1, 0, 1, 0, 0], (2, 0, 0, 0), (1, -1, 0, 0), (True, 0, 0, 0),
@@ -195,14 +213,14 @@ class TestPackedFieldAgainstTuples:
     )
     def test_pack_rejects_what_is_not_an_element(self, e):
         field = find_primitive_polynomial(2, 4)
-        for op in (field.pack, field.log, lambda z: discrete_log(field, z), lambda z: field.mul(z, z)):
+        for op in (field.pack, field.log):
             with pytest.raises(DomainError, match="not an element of F_2"):
                 op(e)
 
     def test_a_list_is_an_element_too(self):
         field = find_primitive_polynomial(3, 2)
         assert field.pack([1, 2]) == field.pack((1, 2)) == 7
-        assert discrete_log(field, [0, 1]) == 1
+        assert field.log([0, 1]) == 1
 
     # x^2: x is nilpotent; x^4 + x^3 + x^2 + x + 1: irreducible, x has order 5
     @pytest.mark.parametrize("modulus", [(0, 0, 1), (1, 1, 1, 1, 1)])
@@ -293,9 +311,18 @@ class TestPrimitives:
             factor_prime_power(12)
 
     def test_subfield_enumeration(self):
-        f = find_primitive_polynomial(2, 4)
-        sub = subfield_elements(f, 4)
-        assert len(sub) == 4
-        assert sub[0] == f.zero()
-        for e in sub:
-            assert f.pow(e, 4) == e  # fixed by the q-power Frobenius
+        for p, m, q in [(2, 4, 2), (2, 4, 4), (2, 4, 16), (3, 2, 3), (3, 2, 9), (2, 6, 8),
+                        (2, 6, 64), (5, 2, 5)]:
+            f = find_primitive_polynomial(p, m)
+            ref = TupleField(f)
+            sub = list(map(ref.from_log, subfield_logs(f, q)))
+            assert len(set(sub)) == q and sub[0] == ref.zero
+            for a in sub:
+                assert ref.pow(a, q) == a  # fixed by the q-power Frobenius
+                assert all(ref.add(a, b) in sub and ref.mul(a, b) in sub for b in sub)
+
+    # 6 is not a prime power; 5 and 2 are not powers of 3; 8 = 2^3 and 3 does not divide 4.
+    @pytest.mark.parametrize("p,m,q", [(2, 4, 6), (3, 2, 5), (3, 2, 2), (2, 4, 8), (2, 4, 1)])
+    def test_subfield_sizes_that_are_not_subfields_are_rejected(self, p, m, q):
+        with pytest.raises(DomainError):
+            subfield_logs(find_primitive_polynomial(p, m), q)

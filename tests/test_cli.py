@@ -471,6 +471,27 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == "" and "is not a list of integer residues" in captured.err
 
+    @pytest.mark.parametrize("document", ["s2-context", "splitter"])
+    def test_domain_error_below_from_json_names_the_file(self, tmp_path, capsys, document):
+        if document == "s2-context":
+            main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+                  "--variant", "s2", "--out-dir", str(tmp_path), "--prefix", "bc"])
+            path = tmp_path / "bc.decoder.json"
+            data = json.loads(path.read_text())
+            data["alphas"][1] = [1, 0, 0, 0, 0, 0, 0]
+            vectors = tmp_path / "in.jsonl"
+            vectors.write_text("[0,0,0,0]\n")
+            command = ["decode", "--context", str(path), "--in", str(vectors)]
+        else:
+            path = tmp_path / "doc.json"
+            data = {"group": [8], "elements": [1, [3], [7]], "kplus": 1, "kminus": 0, "t": 1}
+            command = ["verify", "--kind", "packing", "--splitter", str(path)]
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {path}: " in captured.err
+
     @pytest.mark.parametrize("error", [KeyError, TypeError])
     def test_error_below_from_json_is_not_exit_2(self, artifacts, monkeypatch, error):
         def broken(*args):

@@ -29,7 +29,6 @@ from magball import (
     is_kfold_sidon,
     kernel_lattice,
     kfold_sidon_splitter,
-    nonlinear_code_pack,
     product_splitter,
     sample_lambda_splitter,
     search_bt_set,
@@ -48,6 +47,7 @@ from magball.constructions import (
     min_distance,
 )
 from references import (
+    TupleField,
     search_bt_set_by_recheck,
     search_kfold_sidon_by_recheck,
     subgroup_order,
@@ -83,11 +83,13 @@ class TestBtSets:
         assert is_bt_set(data.bt.elements, data.N, t)[0]
 
     def test_s2_defining_identity(self):
-        data = bose_chowla_s2(4, 2)
-        f = data.field
-        eta = f.gen()
-        for alpha, s, beta in zip(data.alphas, data.svals, data.betas):
-            assert f.mul(beta, f.pow(eta, s)) == f.add(eta, alpha)
+        # beta_i * eta^s_i == eta + alpha_i, with the logs turned into
+        # tuples and multiplied schoolbook.
+        for q, t in [(4, 2), (3, 2), (5, 2), (4, 3)]:
+            data = bose_chowla_s2(q, t)
+            f = TupleField(data.field)
+            for alpha, s, beta in zip(data.alphas, data.svals, data.betas):
+                assert f.mul(f.from_log(beta), f.from_log(s)) == f.add(f.gen, f.from_log(alpha))
 
     def test_is_bt_examples(self):
         assert is_bt_set([0, 1, 3], 8, 2) == (True, None)
@@ -430,27 +432,6 @@ class TestCodeLattice:
     def test_packing_density(self):
         basis = code_lattice(bch_code(3, 2, 5), 1, 1)
         assert density(basis, BallSpec(8, 2, 1, 1)) == Fraction(129, 729)
-
-
-class TestNonlinear:
-    def test_repetition_code_tiles(self):
-        words = [(0,) * 5, (1,) * 5]
-        result = nonlinear_code_pack(words, 2, 1, 0, 2)
-        assert result.verdict == "verified"
-        assert result.density == 1
-
-    def test_distance_gate(self):
-        result = nonlinear_code_pack([(0, 0), (1, 1)], 2, 1, 0, 1)
-        assert result.verdict == "refuted"
-        assert result.witness == ((0, 0), (1, 1))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            nonlinear_code_pack([], 2, 1, 0, 1)
-
-    def test_magnitude_gate(self):
-        with pytest.raises(DomainError):
-            nonlinear_code_pack([(0,) * 5, (1,) * 5], 2, 1, 1, 2)
 
 
 class TestCoveringFamilies:
