@@ -67,15 +67,23 @@ class S2DecoderContext:
     min_poly: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "min_poly", _min_poly_over_subfield(self.field, self.q, self.t + 1))
         self.validate()
+        object.__setattr__(self, "min_poly", _min_poly_over_subfield(self.field, self.q, self.t + 1))
 
     @classmethod
     def from_s2(cls, data: S2Data) -> "S2DecoderContext":
         return cls(data.q, data.t, data.N, data.field, data.alphas, data.svals, data.betas)
 
     def validate(self) -> None:
-        n, zech = self.field.size - 1, self.field.tables()[2]
+        q, t, size = self.q, self.t, self.field.size
+        # q >= 2 makes q^(t+1) > size once t + 1 > log2(size): test that first.
+        if t < 2 or q < 2 or t >= size.bit_length() or q ** (t + 1) != size:
+            raise DomainError(f"need t >= 2 and a field of size q^(t+1), got q = {q}, t = {t} "
+                              f"and a field of size {size}")
+        if self.N != (size - 1) // (q - 1):
+            raise DomainError(f"need N = (q^(t+1) - 1)/(q - 1) = {(size - 1) // (q - 1)}, "
+                              f"got {self.N}")
+        n, zech = size - 1, self.field.tables()[2]
         for alpha, s, beta in zip(self.alphas, self.svals, self.betas):
             # beta * eta^s == eta + alpha with eta = x, of log 1, and beta != 0
             if beta < 0 or (beta + s) % n != _log_add(zech, n, 1, alpha):

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, floor, gcd
+from operator import mul
 from typing import Sequence
 
 from .algebra import (
@@ -446,7 +447,12 @@ def behrend_ruzsa_splitter(
 @dataclass(frozen=True)
 class LinearCode:
     """[n, k, >=d] linear code over F_p given by generator and parity-check
-    matrices (rows are codewords / checks)."""
+    matrices (rows are codewords / checks).
+
+    For the syndrome, column j of ``H`` reduced mod p is packed into one int,
+    row i in the bit field at ``_shifts[i]``.  Each field is wide enough for
+    a sum of n products of residues, ``n (p-1)^2``, so a syndrome is one
+    integer dot product whose fields are then reduced mod p."""
 
     p: int
     n: int
@@ -454,24 +460,34 @@ class LinearCode:
     generator: tuple[tuple[int, ...], ...]
     parity_check: tuple[tuple[int, ...], ...]
     d: int
+    _columns: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _shifts: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        G, H = self.generator, self.parity_check
+        G, H, p = self.generator, self.parity_check, self.p
         if len(G) != self.k or any(len(r) != self.n for r in G):
             raise DomainError("generator matrix has the wrong shape")
         if len(H) != self.n - self.k or any(len(r) != self.n for r in H):
             raise DomainError("parity-check matrix has the wrong shape")
-        for g in G:
-            for h in H:
-                if sum(a * b for a, b in zip(g, h)) % self.p:
-                    raise DomainError("generator and parity-check are inconsistent")
-        if _rank_mod_p([list(r) for r in G], self.p) != self.k:
+        width = (self.n * (p - 1) ** 2).bit_length() + 1
+        shifts = tuple(range(0, width * len(H), width))
+        columns = tuple(
+            sum(h[j] % p << shift for h, shift in zip(H, shifts)) for j in range(self.n)
+        )
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_shifts", shifts)
+        object.__setattr__(self, "_mask", (1 << width) - 1)
+        if any(any(self.syndrome(g)) for g in G):
+            raise DomainError("generator and parity-check are inconsistent")
+        if _rank_mod_p([list(r) for r in G], p) != self.k:
             raise DomainError("generator matrix is rank deficient")
 
     def syndrome(self, v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            sum(a * b for a, b in zip(h, v)) % self.p for h in self.parity_check
-        )
+        """``H v mod p``."""
+        p, mask = self.p, self._mask
+        s = sum(map(mul, [x % p for x in v], self._columns))
+        return tuple([(s >> shift & mask) % p for shift in self._shifts])
 
     def codewords(self):
         """All p^k codewords (gated by the enumeration limit)."""

@@ -22,6 +22,10 @@ multiply them schoolbook modulo the field polynomial, take logs from a power
 table walked one multiplication by x at a time, read the package's logs back
 as powers of x by square-and-multiply, and decode with that tuple
 arithmetic, counting the same field operations.
+
+The package computes a mod-p syndrome as one integer dot product over
+columns of ``H`` packed into bit fields (:meth:`magball.LinearCode.syndrome`);
+the reference sums each row of ``H`` against the vector and reduces it.
 """
 
 from itertools import combinations, product
@@ -34,6 +38,7 @@ from magball import (
     FieldSpec,
     GroupElement,
     GroupSpec,
+    LinearCode,
     S2Data,
     SidonParams,
     ball_size,
@@ -60,6 +65,11 @@ def enumerate_ball_by_loops(spec: BallSpec) -> Iterator[tuple[int, ...]]:
                 for pos, v in zip(support, vals):
                     vec[pos] = v
                 yield tuple(vec)
+
+
+def syndrome(code: LinearCode, v: Sequence[int]) -> tuple[int, ...]:
+    """``H v mod p``, one nested sum per row of ``H``."""
+    return tuple(sum(a * b for a, b in zip(h, v)) % code.p for h in code.parity_check)
 
 
 def subgroup_order(group: GroupSpec, gens: Sequence[GroupElement]) -> int:

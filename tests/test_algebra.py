@@ -222,12 +222,28 @@ class TestPackedFieldAgainstTuples:
         assert field.pack([1, 2]) == field.pack((1, 2)) == 7
         assert field.log([0, 1]) == 1
 
-    # x^2: x is nilpotent; x^4 + x^3 + x^2 + x + 1: irreducible, x has order 5
-    @pytest.mark.parametrize("modulus", [(0, 0, 1), (1, 1, 1, 1, 1)])
-    def test_non_primitive_modulus_is_rejected_at_table_build(self, modulus):
-        field = FieldSpec(2, len(modulus) - 1, modulus)
-        with pytest.raises(DomainError, match="not primitive"):
+    # x^2: x is nilpotent; x^2 + 1 and x^3 + 1: reducible, x is a unit of
+    # order 2 and 3; x^4 + x^3 + x^2 + x + 1: irreducible, x has order 5;
+    # x^2 + 1 over F_3: irreducible, x has order 4.
+    @pytest.mark.parametrize("p,modulus", [(2, (0, 0, 1)), (2, (1, 0, 1)), (2, (1, 0, 0, 1)),
+                                           (2, (1, 1, 1, 1, 1)), (3, (1, 0, 1))])
+    def test_non_primitive_modulus_is_rejected_at_table_build(self, p, modulus):
+        field = FieldSpec(p, len(modulus) - 1, modulus)
+        with pytest.raises(DomainError, match="not primitive: power table is degenerate"):
             field.tables()
+
+    # The binary tables are walked by shift and XOR, the others by times_x.
+    @pytest.mark.parametrize("m", [*range(1, 13), 16])
+    def test_binary_tables_match_the_power_table(self, m):
+        field = find_primitive_polynomial(2, m)
+        powers, log = power_table(field)
+        exp, packed_log, zech = field.tables()
+        packed = [field.pack(e) for e in powers]
+        assert list(exp) == packed
+        assert [packed_log[v] for v in packed] == list(range(field.size - 1))
+        assert packed_log[0] == -1
+        # 1 + x^k flips the constant coefficient.
+        assert list(zech) == [log.get(((e[0] + 1) % 2, *e[1:]), -1) for e in powers]
 
 
 class TestGroupOps:

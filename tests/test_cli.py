@@ -492,6 +492,30 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == "" and f"error: {path}: " in captured.err
 
+    # The context of q = 4, t = 2 has N = 21 over F_64.  Unchecked, N = 0
+    # would divide by zero in the decoder, and N = 22 and t = -1 would decode.
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("N", 0, "need N = "), ("N", 22, "need N = "), ("t", -1, "need t >= 2"),
+         ("t", 3, "field of size q^(t+1)"), ("q", 8, "field of size q^(t+1)")],
+    )
+    def test_s2_context_parameters_that_do_not_fit_are_exit_2(self, tmp_path, capsys, key,
+                                                              value, message):
+        main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+              "--variant", "s2", "--out-dir", str(tmp_path), "--prefix", "bc"])
+        context = tmp_path / "bc.decoder.json"
+        data = json.loads(context.read_text())
+        assert (data["q"], data["t"], data["N"]) == (4, 2, 21)
+        data[key] = value
+        context.write_text(json.dumps(data))
+        vectors = tmp_path / "in.jsonl"
+        vectors.write_text("[1,0,0,0]\n")
+        capsys.readouterr()
+        rc = main(["decode", "--context", str(context), "--in", str(vectors)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"error: {context}: " in captured.err and message in captured.err
+
     @pytest.mark.parametrize("error", [KeyError, TypeError])
     def test_error_below_from_json_is_not_exit_2(self, artifacts, monkeypatch, error):
         def broken(*args):

@@ -4,6 +4,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from magball import (
     BallSpec,
@@ -24,7 +25,7 @@ from magball import (
 )
 from magball.errors import ResourceLimitError
 from magball.limits import limits_overridden
-from references import TupleField, decode_s2_by_tuples, min_poly_by_tuples
+from references import TupleField, decode_s2_by_tuples, min_poly_by_tuples, syndrome
 
 
 def _binary_patterns(n, t):
@@ -77,7 +78,7 @@ def _reference_leaders(code):
                 vec = [0] * code.n
                 for pos, v in zip(support, vals):
                     vec[pos] = v
-                leaders.setdefault(code.syndrome(vec), tuple(vec))
+                leaders.setdefault(syndrome(code, vec), tuple(vec))
                 if len(leaders) == total:
                     return leaders
     raise AssertionError("could not cover every syndrome")
@@ -86,7 +87,7 @@ def _reference_leaders(code):
 def _reference_decode(code, kplus, y):
     """Correct ``y mod p`` by its coset leader and lift the leader back to
     the signed integers: residues above kplus wrap down by p."""
-    leader = _reference_leaders(code)[code.syndrome([v % code.p for v in y])]
+    leader = _reference_leaders(code)[syndrome(code, [v % code.p for v in y])]
     return tuple(v - (e if e <= kplus else e - code.p) for v, e in zip(y, leader))
 
 
@@ -209,6 +210,64 @@ class TestS2AgainstTuples:
                 assert (got.ops.mul, got.ops.add) == (ops.mul, ops.add)
                 oks += got.status == "ok"
         assert oks  # the comparison covered successful decodes, not only failures
+
+
+@st.composite
+def _systematic_code(draw):
+    """A code over F_p with G = [I_k | A] and H = [-A^T | I_(n-k)], every
+    entry shifted by a multiple of p, so that H holds entries outside [0, p),
+    negative ones included."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n))
+    r = n - k
+    A = [draw(st.lists(st.integers(0, p - 1), min_size=r, max_size=r)) for _ in range(k)]
+    G = [[int(i == j) for j in range(k)] + A[i] for i in range(k)]
+    H = [[-A[j][i] for j in range(k)] + [int(i == j) for j in range(r)] for i in range(r)]
+
+    def lift(rows):
+        shifts = draw(st.lists(st.integers(-3, 3), min_size=n * len(rows), max_size=n * len(rows)))
+        return tuple(tuple(x + p * c for x, c in zip(row, shifts[i * n:]))
+                     for i, row in enumerate(rows))
+
+    return p, n, k, lift(G), lift(H)
+
+
+class TestPackedSyndrome:
+    @given(_systematic_code(), st.data())
+    def test_matches_the_row_sums(self, shape, data):
+        code = LinearCode(*shape, 1)
+        entries = st.integers(-10**6, 10**6)
+        for v in data.draw(st.lists(st.lists(entries, min_size=code.n, max_size=code.n),
+                                    min_size=1, max_size=5)):
+            assert code.syndrome(v) == syndrome(code, v)
+        for g in code.generator:
+            assert not any(syndrome(code, g))
+
+    # Every product is (p-1)^2, so each field of the dot product holds its
+    # largest sum, n (p-1)^2.
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 4, 12, 63])
+    def test_largest_field_sums_do_not_carry(self, p, n):
+        code = LinearCode(p, n, 0, (), ((-1,) * n,) * n, 1)
+        v = [p - 1] * n
+        assert code.syndrome(v) == syndrome(code, v) == ((n * (p - 1) ** 2) % p,) * n
+
+    @given(_systematic_code())
+    def test_generator_off_the_kernel_is_rejected(self, shape):
+        p, n, k, G, H = shape
+        assume(0 < k < n)
+        # Row 0 of G gains 1 at position k, where H's row 0 holds 1 mod p.
+        bumped = (tuple(x + (j == k) for j, x in enumerate(G[0])),) + G[1:]
+        with pytest.raises(DomainError, match="inconsistent"):
+            LinearCode(p, n, k, bumped, H, 1)
+
+    @pytest.mark.parametrize("p, m, d, kplus, kminus",
+                             [(3, 2, 5, 1, 1), (2, 6, 5, 1, 0), (5, 2, 4, 2, 2), (7, 2, 3, 3, 3)])
+    def test_table_keys_are_the_syndromes_of_their_leaders(self, p, m, d, kplus, kminus):
+        code = bch_code(p, m, d)
+        for key, leader in build_syndrome_decoder(code, kplus, kminus).leaders.items():
+            assert key == syndrome(code, _dense(leader, code.n))
 
 
 class TestSyndromeTable:
