@@ -179,6 +179,8 @@ class FieldSpec:
             raise DomainError(f"{self.p} is not prime")
         if self.m < 1 or len(self.modulus) != self.m + 1 or self.modulus[-1] != 1:
             raise DomainError("modulus must be monic of degree m")
+        if not all(0 <= c < self.p for c in self.modulus):
+            raise DomainError(f"modulus coefficients must lie in [0, {self.p})")
 
     @property
     def size(self) -> int:
@@ -322,34 +324,20 @@ def _field_tables(spec: FieldSpec) -> tuple[array, array, array]:
     ``log(1 + x^k)`` (-1 where ``1 + x^k = 0``), so that
     ``x^a + x^b = x^(a + zech[b - a])``."""
     p, n = spec.p, spec.size - 1
+    times_x, _ = _packed_ring(p, spec.modulus)
     exp = array("l", [0]) * n
     log = array("l", [-1]) * spec.size
     v = 1
-    if p == 2:
-        # Multiplying by x shifts the bits up; a carry out of degree m - 1
-        # is cancelled by XOR with the modulus, whose top bit it is.
-        top, poly = 1 << spec.m, _pack(2, spec.modulus)
-        for k in range(n):
-            exp[k] = v
-            log[v] = k
-            v <<= 1
-            if v & top:
-                v ^= poly
-    else:
-        times_x, _ = _packed_ring(p, spec.modulus)
-        for k in range(n):
-            exp[k] = v
-            log[v] = k
-            v = times_x(v)
+    for k in range(n):
+        exp[k] = v
+        log[v] = k
+        v = times_x(v)
     # x is primitive exactly when its first n powers are distinct and nonzero
     # and the next is 1 again.
     if v != 1 or log.count(-1) != 1:
         raise DomainError("modulus is not primitive: power table is degenerate")
     # Adding 1 changes only the constant digit.
-    if p == 2:
-        zech = array("l", (log[v ^ 1] for v in exp))
-    else:
-        zech = array("l", (log[v - v % p + (v + 1) % p] for v in exp))
+    zech = array("l", (log[v - v % p + (v + 1) % p] for v in exp))
     return exp, log, zech
 
 

@@ -183,7 +183,7 @@ class TestPackedFieldAgainstTuples:
         assert ref.from_log(_log_add(zech, n, la, lb)) == ref.add(a, b)
         assert field.power_of_gen(e) == powers[e % n]
 
-    @pytest.mark.parametrize("p,m", SMALL_FIELDS)
+    @pytest.mark.parametrize("p,m", SMALL_FIELDS + [(2, m) for m in (4, 6, 7, *range(9, 13), 16)])
     def test_tables_match_the_power_table(self, p, m):
         field, ref, (powers, log) = _tuple_reference(p, m)
         exp, packed_log, zech = field.tables()
@@ -232,18 +232,12 @@ class TestPackedFieldAgainstTuples:
         with pytest.raises(DomainError, match="not primitive: power table is degenerate"):
             field.tables()
 
-    # The binary tables are walked by shift and XOR, the others by times_x.
-    @pytest.mark.parametrize("m", [*range(1, 13), 16])
-    def test_binary_tables_match_the_power_table(self, m):
-        field = find_primitive_polynomial(2, m)
-        powers, log = power_table(field)
-        exp, packed_log, zech = field.tables()
-        packed = [field.pack(e) for e in powers]
-        assert list(exp) == packed
-        assert [packed_log[v] for v in packed] == list(range(field.size - 1))
-        assert packed_log[0] == -1
-        # 1 + x^k flips the constant coefficient.
-        assert list(zech) == [log.get(((e[0] + 1) % 2, *e[1:]), -1) for e in powers]
+    # Each is a primitive modulus with one coefficient off by a multiple of p.
+    @pytest.mark.parametrize("p,modulus", [(2, (1, 3, 1)), (2, (3, 1, 0, 1)), (2, (1, -1, 1)),
+                                           (3, (2, 4, 1)), (3, (-1, 1, 1))])
+    def test_unreduced_modulus_coefficients_are_rejected(self, p, modulus):
+        with pytest.raises(DomainError, match=rf"modulus coefficients must lie in \[0, {p}\)"):
+            FieldSpec(p, len(modulus) - 1, modulus)
 
 
 class TestGroupOps:

@@ -516,6 +516,24 @@ class TestMalformedInput:
         assert rc == 2 and captured.out == ""
         assert f"error: {context}: " in captured.err and message in captured.err
 
+    # The F_64 modulus of that context with its x coefficient raised or
+    # lowered by 2: the same polynomial mod 2, but not written in [0, 2).
+    @pytest.mark.parametrize("delta", [2, -2])
+    def test_s2_context_modulus_outside_f_p_is_exit_2(self, tmp_path, capsys, delta):
+        main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+              "--variant", "s2", "--out-dir", str(tmp_path), "--prefix", "bc"])
+        context = tmp_path / "bc.decoder.json"
+        data = json.loads(context.read_text())
+        data["field"]["modulus"][1] += delta
+        context.write_text(json.dumps(data))
+        vectors = tmp_path / "in.jsonl"
+        vectors.write_text("[1,0,0,0]\n")
+        capsys.readouterr()
+        rc = main(["decode", "--context", str(context), "--in", str(vectors)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"error: {context}: modulus coefficients must lie in [0, 2)" in captured.err
+
     @pytest.mark.parametrize("error", [KeyError, TypeError])
     def test_error_below_from_json_is_not_exit_2(self, artifacts, monkeypatch, error):
         def broken(*args):
