@@ -48,7 +48,6 @@ from .lattice import (
     hermite_normal_form,
     kernel_lattice,
     lattice_contains,
-    smith_normal_form,
     verify_covering_geometric,
     verify_packing_geometric,
 )

@@ -322,7 +322,8 @@ def _field_tables(spec: FieldSpec) -> tuple[array, array, array]:
     ``exp[k]`` is ``x^k`` packed, ``log`` maps a packed element back to its
     exponent (-1 at zero), and ``zech[k]`` is the Zech logarithm
     ``log(1 + x^k)`` (-1 where ``1 + x^k = 0``), so that
-    ``x^a + x^b = x^(a + zech[b - a])``."""
+    ``x^a + x^b = x^(a + zech[b - a])``.  Gated by the field_size limit."""
+    check("field_size", spec.size)
     p, n = spec.p, spec.size - 1
     times_x, _ = _packed_ring(p, spec.modulus)
     exp = array("l", [0]) * n

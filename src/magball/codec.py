@@ -285,10 +285,8 @@ def build_syndrome_decoder(code: LinearCode, kplus: int, kminus: int) -> Syndrom
         raise DomainError("need kplus + kminus < p")
     ball = BallSpec(code.n, (code.d - 1) // 2, kplus, kminus)
     check("syndrome_table", ball_size(ball))
-    H = code.parity_check
-    columns = [[h[j] for h in H] for j in range(code.n)]
     leaders: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
-    for support, values, syn in ball_images(ball, columns, [code.p] * len(H)):
+    for support, values, syn in ball_images(ball, code.columns, [code.p] * (code.n - code.k)):
         e = tuple(zip(support, values))
         first = leaders.setdefault(syn, e)
         if first is not e:

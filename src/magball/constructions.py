@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .ball import BallSpec, ball_size
 from .errors import DomainError, OracleDisagreement
-from .lattice import LatticeBasis, basis_from_rows
+from .lattice import LatticeBasis, _chain_kernel
 from .limits import check
 from .splitting import MagnitudeSet, SplitReport, SplitterSet, multiplicity_histogram
 
@@ -449,10 +449,13 @@ class LinearCode:
     """[n, k, >=d] linear code over F_p given by generator and parity-check
     matrices (rows are codewords / checks).
 
-    For the syndrome, column j of ``H`` reduced mod p is packed into one int,
-    row i in the bit field at ``_shifts[i]``.  Each field is wide enough for
-    a sum of n products of residues, ``n (p-1)^2``, so a syndrome is one
-    integer dot product whose fields are then reduced mod p."""
+    ``columns`` holds the columns of ``H`` reduced mod p: the images of the
+    unit vectors under the parity-check map ``Z^n -> Z_p^(n-k)``, whose kernel
+    is the code lattice and whose ball images are the syndrome table.  For
+    the syndrome, each column is also packed into one int, row i in the bit
+    field at ``_shifts[i]``.  Each field is wide enough for a sum of n
+    products of residues, ``n (p-1)^2``, so a syndrome is one integer dot
+    product whose fields are then reduced mod p."""
 
     p: int
     n: int
@@ -460,7 +463,8 @@ class LinearCode:
     generator: tuple[tuple[int, ...], ...]
     parity_check: tuple[tuple[int, ...], ...]
     d: int
-    _columns: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    columns: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _packed: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _shifts: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _mask: int = field(init=False, compare=False, repr=False)
 
@@ -470,12 +474,13 @@ class LinearCode:
             raise DomainError("generator matrix has the wrong shape")
         if len(H) != self.n - self.k or any(len(r) != self.n for r in H):
             raise DomainError("parity-check matrix has the wrong shape")
+        columns = tuple(tuple(h[j] % p for h in H) for j in range(self.n))
         width = (self.n * (p - 1) ** 2).bit_length() + 1
         shifts = tuple(range(0, width * len(H), width))
-        columns = tuple(
-            sum(h[j] % p << shift for h, shift in zip(H, shifts)) for j in range(self.n)
-        )
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_packed", tuple(
+            sum(c << shift for c, shift in zip(col, shifts)) for col in columns
+        ))
         object.__setattr__(self, "_shifts", shifts)
         object.__setattr__(self, "_mask", (1 << width) - 1)
         if any(any(self.syndrome(g)) for g in G):
@@ -486,7 +491,7 @@ class LinearCode:
     def syndrome(self, v: Sequence[int]) -> tuple[int, ...]:
         """``H v mod p``."""
         p, mask = self.p, self._mask
-        s = sum(map(mul, [x % p for x in v], self._columns))
+        s = sum(map(mul, [x % p for x in v], self._packed))
         return tuple([(s >> shift & mask) % p for shift in self._shifts])
 
     def codewords(self):
@@ -649,14 +654,11 @@ def _poly_divmod_p(num: list[int], den: list[int], p: int) -> list[int]:
 
 def code_lattice(code: LinearCode, kplus: int, kminus: int) -> LatticeBasis:
     """Lift a linear code to the integer lattice of vectors that reduce into
-    it mod p; requires kplus + kminus < p."""
+    it mod p, the kernel of the parity-check map; requires kplus + kminus < p.
+    Its volume is p^(n-k) exactly when ``H`` has full rank."""
     if kplus + kminus >= code.p:
         raise DomainError("need kplus + kminus < p for the code lattice")
-    rows = [list(r) for r in code.generator]
-    rows.extend(
-        [code.p if i == j else 0 for j in range(code.n)] for i in range(code.n)
-    )
-    basis = basis_from_rows(rows, code.n, source=f"code[{code.n},{code.k}]_{code.p}")
+    basis = _chain_kernel((code.p,) * (code.n - code.k), code.columns)
     expected = code.p ** (code.n - code.k)
     if basis.volume != expected:
         raise DomainError(

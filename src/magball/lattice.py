@@ -1,5 +1,9 @@
-"""Integer lattice machinery: kernel lattices of splitting homomorphisms,
-Hermite and Smith normal forms, and geometric packing/covering oracles.
+"""Integer lattice machinery: kernel lattices of maps onto finite Abelian
+groups, Hermite and Smith normal forms, and geometric packing/covering oracles.
+
+Every lattice the package builds is the kernel of a map ``Z^n -> G`` read
+off one subgroup-chain walk: a splitter's residues into its group, or the
+columns of a parity-check matrix into ``Z_p^(n-k)``.
 
 Both geometric oracles label each ball point by its coset of ``Z^n / L``,
 read off the Smith form of the basis: the ball packs iff the labels are
@@ -87,19 +91,12 @@ def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix
     return M, U, pivots
 
 
-def smith_normal_form(
-    matrix: Sequence[Sequence[int]],
-) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form ``(U, D, V)`` with ``U @ A @ V == D`` diagonal,
-    ``U`` and ``V`` unimodular, and the diagonal a divisibility chain."""
-    U, D, V, _ = _snf_full(matrix)
-    return U, D, V
-
-
 def _snf_full(
     matrix: Sequence[Sequence[int]],
 ) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """SNF ``(U, D, V, Vinv)`` with the inverse of ``V`` tracked alongside."""
+    """Smith normal form ``(U, D, V, Vinv)``: ``U @ A @ V == D`` diagonal with
+    the diagonal a divisibility chain, ``U`` and ``V`` unimodular, and the
+    inverse of ``V`` tracked alongside."""
     D = [list(map(int, row)) for row in matrix]
     rows = len(D)
     cols = len(D[0]) if rows else 0
@@ -187,18 +184,6 @@ def _snf_full(
     return U, D, V, Vinv
 
 
-def det_from_hnf(matrix: Sequence[Sequence[int]]) -> int:
-    """Absolute determinant of a square matrix via its HNF pivots (0 if singular)."""
-    H, _, pivots = hermite_normal_form(matrix)
-    n = len(H)
-    if len(pivots) < n:
-        return 0
-    out = 1
-    for r, c in pivots:
-        out *= H[r][c]
-    return out
-
-
 @dataclass(frozen=True)
 class LatticeBasis:
     """Full-rank integer lattice in row-HNF form.
@@ -211,7 +196,6 @@ class LatticeBasis:
     n: int
     rows: tuple[tuple[int, ...], ...]
     volume: int
-    source: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
@@ -235,7 +219,7 @@ class LatticeBasis:
     def from_json(cls, data: dict) -> "LatticeBasis":
         """Load a basis, canonicalising arbitrary spanning rows to HNF."""
         rows = [[int(x) for x in r] for r in data["rows"]]
-        basis = basis_from_rows(rows, int(data["n"]), data.get("source"))
+        basis = basis_from_rows(rows, int(data["n"]))
         if int(data["volume"]) != basis.volume:
             raise DomainError(
                 f"stored volume {data['volume']} != computed {basis.volume}"
@@ -243,7 +227,7 @@ class LatticeBasis:
         return basis
 
 
-def basis_from_rows(rows: Sequence[Sequence[int]], n: int, source: str | None = None) -> LatticeBasis:
+def basis_from_rows(rows: Sequence[Sequence[int]], n: int) -> LatticeBasis:
     """Canonicalise spanning rows (possibly more than n of them) into a basis."""
     H, _, pivots = hermite_normal_form(rows)
     if len(pivots) != n or any(r != c for r, c in pivots):
@@ -252,7 +236,7 @@ def basis_from_rows(rows: Sequence[Sequence[int]], n: int, source: str | None = 
     volume = 1
     for i in range(n):
         volume *= top[i][i]
-    return LatticeBasis(n, top, volume, source)
+    return LatticeBasis(n, top, volume)
 
 
 def _solve_upper(B: Matrix, v: Sequence[int]) -> list[Fraction]:
@@ -273,20 +257,25 @@ def _combine(coefs: Sequence[int], vecs: Sequence[dict[int, int]]) -> dict[int, 
 
 
 def kernel_lattice(splitter: SplitterSet) -> LatticeBasis:
-    """The lattice of integer vectors whose splitter combination is the identity.
+    """The lattice of integer vectors whose splitter combination is the identity."""
+    check("group_order", splitter.group.order)
+    return _chain_kernel(splitter.group.moduli, [e.residues for e in splitter.elements])
+
+
+def _chain_kernel(moduli: Sequence[int], columns: Sequence[Sequence[int]]) -> LatticeBasis:
+    """The kernel of ``Z^n -> Z_m1 x ... x Z_mr`` sending ``e_j`` to ``columns[j]``.
 
     Walk the subgroup chain from the right (Cohen, GTM 138, §2.4).  With
-    residue lifts ``a_j`` and ``L_i = span(a_j : j >= i) + diag(m) Z^r``, the
+    ``a_j = columns[j]`` and ``L_i = span(a_j : j >= i) + diag(m) Z^r``, the
     HNF diagonal ``d_i`` is the order of ``a_i`` modulo ``L_{i+1}``, and row
     ``i`` is ``d_i e_i`` minus an expression of ``d_i a_i`` over later
     generators, reduced against the later rows.  Only the tail positions, those
-    with ``d_j > 1`` (at most log2 |G| of them), carry such entries.  So each
-    row of ``B``, the r x r HNF of ``L_{i+1}``, is kept as a combination of
-    tail generators, and ``B`` is only re-formed when ``d_i > 1``.
+    with ``d_j > 1`` (at most log2 of the group order of them), carry such
+    entries.  So each row of ``B``, the r x r HNF of ``L_{i+1}``, is kept as a
+    combination of tail generators, and ``B`` is only re-formed when ``d_i > 1``.
     """
-    check("group_order", splitter.group.order)
-    group, n, r = splitter.group, splitter.n, splitter.group.rank
-    B = [[m if i == j else 0 for j in range(r)] for i, m in enumerate(group.moduli)]
+    n, r = len(columns), len(moduli)
+    B = [[m if i == j else 0 for j in range(r)] for i, m in enumerate(moduli)]
     combos: list[dict[int, int]] = [{} for _ in range(r)]  # B[k] = sum combos[k][j] a_j mod m
     tail: list[int] = []
     rows: dict[int, dict[int, int]] = {}
@@ -300,7 +289,7 @@ def kernel_lattice(splitter: SplitterSet) -> LatticeBasis:
         return {k: v for k, v in x.items() if v}
 
     for i in reversed(range(n)):
-        a = list(splitter.elements[i].residues)
+        a = list(columns[i])
         z = _solve_upper(B, a)
         d = lcm(*(zk.denominator for zk in z))
         rows[i] = {i: d, **reduce(_combine([-int(zk * d) for zk in z], combos))}
@@ -310,10 +299,10 @@ def kernel_lattice(splitter: SplitterSet) -> LatticeBasis:
             combos = [_combine(u, combos + [{i: 1}]) for u in U[:r]]
             tail.insert(0, i)
     volume = prod(rows[i][i] for i in range(n))
-    if volume * prod(B[k][k] for k in range(r)) != group.order:
+    if volume * prod(B[k][k] for k in range(r)) != prod(moduli):
         raise DomainError("kernel volume disagrees with the subgroup chain")
     dense = tuple(tuple(rows[i].get(j, 0) for j in range(n)) for i in range(n))
-    return LatticeBasis(n, dense, volume, source="kernel")
+    return LatticeBasis(n, dense, volume)
 
 
 def lattice_contains(basis: LatticeBasis, v: Sequence[int]) -> bool:

@@ -7,7 +7,10 @@ by nested loops over weights, supports and value tuples.
 The package computes kernel volumes by a subgroup-chain walk
 (:func:`magball.lattice.kernel_lattice`); these are independent routes to the
 same numbers: the subgroup order by breadth-first closure, and by the Smith
-form of the relation matrix.
+form of the relation matrix.  The same walk over the columns of ``H`` builds
+the code lattice (:func:`magball.code_lattice`); the reference takes the
+Hermite form of the generator rows stacked on ``p I``.  Determinants come
+from the Hermite pivots.
 
 The package's B_t and k-fold Sidon searches test each candidate only against
 the sums and relations it adds; the references below re-run the full public
@@ -44,9 +47,9 @@ from magball import (
     ball_size,
     is_bt_set,
     is_kfold_sidon,
-    smith_normal_form,
 )
 from magball.codec import OpCounter
+from magball.lattice import LatticeBasis, _snf_full, basis_from_rows, hermite_normal_form
 from magball.limits import check
 
 FieldElement = tuple[int, ...]
@@ -97,6 +100,32 @@ def subgroup_order(group: GroupSpec, gens: Sequence[GroupElement]) -> int:
                     nxt.append(cand)
         frontier = nxt
     return len(seen)
+
+
+def smith_normal_form(matrix: Sequence[Sequence[int]]):
+    """Smith normal form ``(U, D, V)`` with ``U @ A @ V == D`` diagonal,
+    ``U`` and ``V`` unimodular, and the diagonal a divisibility chain."""
+    U, D, V, _ = _snf_full(matrix)
+    return U, D, V
+
+
+def det_from_hnf(matrix: Sequence[Sequence[int]]) -> int:
+    """Absolute determinant of a square matrix via its HNF pivots (0 if singular)."""
+    H, _, pivots = hermite_normal_form(matrix)
+    if len(pivots) < len(H):
+        return 0
+    out = 1
+    for r, c in pivots:
+        out *= H[r][c]
+    return out
+
+
+def code_lattice_by_hnf(code: LinearCode) -> LatticeBasis:
+    """``C + p Z^n``: the Hermite form of the generator rows stacked on ``p I``."""
+    p, n = code.p, code.n
+    rows = [list(r) for r in code.generator]
+    rows.extend([p if i == j else 0 for j in range(n)] for i in range(n))
+    return basis_from_rows(rows, n)
 
 
 def relation_matrix(group: GroupSpec, elements: Sequence[GroupElement]) -> list[list[int]]:

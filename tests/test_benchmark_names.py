@@ -1,11 +1,15 @@
-"""The names ``perfbench`` reads from the package must exist.
+"""The names ``perfbench`` reads from the package must exist, and the
+artifacts it pins must come out unchanged.
 
 The benchmark wraps functions and reads limits by name, so renaming or
-deleting one of them changes the benchmark's output shape.  The harness
+deleting one of them changes the benchmark's output shape.  It also checks
+each seedless construct job's files against the digests in
+``perfbench/expected.json``; those jobs run in-process here.  The harness
 modules are compiled from source here, so nothing is written under
 ``perfbench/``.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +22,7 @@ import pytest
 
 import magball.cli  # noqa: F401  (loads every layer)
 from magball import BallSpec, enumerate_ball, verify_packing_geometric
+from magball.cli import main
 from magball.lattice import basis_from_rows
 from magball.limits import Limits
 
@@ -29,7 +34,15 @@ def _load(name: str) -> types.ModuleType:
     path = BENCH / f"{name}.py"
     module = types.ModuleType(name)
     module.__file__ = str(path)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    saved = sys.modules.get(name)
+    sys.modules[name] = module  # dataclasses look their module up while it runs
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        if saved is None:
+            del sys.modules[name]
+        else:
+            sys.modules[name] = saved
     return module
 
 
@@ -105,3 +118,23 @@ def test_traced_verify_run(bench, tmp_path):
     record = json.loads(spans.read_text(encoding="utf-8"))
     assert set(metrics.LIMIT_KINDS) <= set(record["limits"])
     assert "lattice.verify_packing_geometric" in record["functions"]
+
+
+def test_pinned_construct_digests(tmp_path):
+    workloads = _load("workloads")
+    jobs = {
+        job.id: job.argv
+        for name in workloads.WORKLOADS
+        for tiny in (False, True)
+        for job in workloads.build_jobs(name, 1, tiny)
+        if job.kind == "construct" and not job.seeded
+    }
+    pins = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))["jobs"]
+    assert len(jobs) == 14
+    for job_id, argv in sorted(jobs.items()):
+        art, pin = tmp_path / job_id, pins[job_id]
+        assert main([arg.replace("{art}", str(art)) for arg in argv]) == pin["exit"], job_id
+        written = {
+            name: hashlib.sha256((art / name).read_bytes()).hexdigest() for name in pin["digests"]
+        }
+        assert written == pin["digests"], job_id

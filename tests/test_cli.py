@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import magball
+import magball.algebra
 import magball.lattice
 from magball.cli import FAMILIES, build_parser, main
 
@@ -533,6 +534,26 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert f"error: {context}: modulus coefficients must lie in [0, 2)" in captured.err
+
+    def test_s2_context_field_above_field_size_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # q = 128, t = 2 fits F_{2^21} (x^21 + x^2 + 1), past the 2^20
+        # field_size limit: refused before any power of x is walked.
+        built = []
+        monkeypatch.setattr(magball.algebra, "_packed_ring", lambda *a: built.append(a))
+        context = tmp_path / "big.decoder.json"
+        context.write_text(json.dumps({
+            "type": "s2", "q": 128, "t": 2, "N": 16513,
+            "field": {"p": 2, "m": 21, "modulus": [1, 0, 1] + [0] * 18 + [1]},
+            "alphas": [[0] * 21], "svals": [1], "betas": [[1] + [0] * 20],
+        }))
+        vectors = tmp_path / "in.jsonl"
+        vectors.write_text("[1]\n")
+        capsys.readouterr()
+        rc = main(["decode", "--context", str(context), "--in", str(vectors)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "field_size" in captured.err
+        assert built == []
 
     @pytest.mark.parametrize("error", [KeyError, TypeError])
     def test_error_below_from_json_is_not_exit_2(self, artifacts, monkeypatch, error):

@@ -46,8 +46,10 @@ from magball.constructions import (
     _trivial_solution,
     min_distance,
 )
+from magball.limits import limits_overridden
 from references import (
     TupleField,
+    code_lattice_by_hnf,
     search_bt_set_by_recheck,
     search_kfold_sidon_by_recheck,
     subgroup_order,
@@ -432,6 +434,42 @@ class TestCodeLattice:
     def test_packing_density(self):
         basis = code_lattice(bch_code(3, 2, 5), 1, 1)
         assert density(basis, BallSpec(8, 2, 1, 1)) == Fraction(129, 729)
+
+    def test_rank_deficient_parity_check_is_refused(self):
+        # A repeated check row: the kernel of H has volume 2, not 2^(n-k) = 4.
+        code = LinearCode(2, 3, 1, ((1, 1, 1),), ((1, 1, 0), (1, 1, 0)), 1)
+        with pytest.raises(DomainError, match=r"p\^\(n-k\)"):
+            code_lattice(code, 1, 0)
+
+    def test_not_gated_by_group_order(self):
+        with limits_overridden(group_order=8):
+            assert code_lattice(bch_code(3, 2, 5), 1, 1).volume == 729
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_systematic_codes_against_stacked_rows(self, data):
+        # G = [I | A] and H = [-A^T | I], columns permuted, H entries lifted
+        # by multiples of p; k = 0 and k = n included.
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        n = data.draw(st.integers(1, 7))
+        k = data.draw(st.integers(0, n))
+        A = [[data.draw(st.integers(0, p - 1)) for _ in range(n - k)] for _ in range(k)]
+        G = [[int(i == j) for j in range(k)] + A[i] for i in range(k)]
+        H = [[-A[j][i] for j in range(k)] + [int(i == j) for j in range(n - k)]
+             for i in range(n - k)]
+        perm = data.draw(st.permutations(range(n)))
+        code = LinearCode(
+            p, n, k,
+            tuple(tuple(row[j] for j in perm) for row in G),
+            tuple(tuple(row[j] + p * data.draw(st.integers(-2, 2)) for j in perm) for row in H),
+            1,
+        )
+        assert code_lattice(code, 1, 0) == code_lattice_by_hnf(code)
+
+    @pytest.mark.parametrize("p,m,d", [(3, 2, 5), (2, 6, 5), (3, 3, 5), (2, 7, 7), (5, 2, 5)])
+    def test_bch_codes_against_stacked_rows(self, p, m, d):
+        code = bch_code(p, m, d)
+        assert code_lattice(code, 1, 0) == code_lattice_by_hnf(code)
 
 
 class TestCoveringFamilies:

@@ -31,7 +31,6 @@ from magball import (
     product_splitter,
     sample_lambda_splitter,
     search_kfold_sidon,
-    smith_normal_form,
     verify_covering_geometric,
     verify_packing_geometric,
 )
@@ -40,11 +39,10 @@ from magball.lattice import (
     GeometricReport,
     _snf_full,
     basis_from_rows,
-    det_from_hnf,
     hermite_normal_form,
 )
 from magball.limits import limits_overridden
-from references import relation_matrix, subgroup_order
+from references import det_from_hnf, relation_matrix, smith_normal_form, subgroup_order
 
 
 def _splitter(moduli, elements, kplus, kminus, t):
@@ -232,7 +230,7 @@ def _reference_kernel_lattice(splitter):
     kernel_rows = [U[i][:n] for i in range(len(pivots), len(H))]
     if len(kernel_rows) != n:
         raise DomainError("relation matrix was not full column rank")
-    return basis_from_rows(kernel_rows, n, source="kernel")
+    return basis_from_rows(kernel_rows, n)
 
 
 @dataclass(frozen=True)
