@@ -3,11 +3,11 @@
 Groups are products of cyclic groups ``Z_m1 x ... x Z_mr`` with elements kept
 reduced at all times.  Fields ``F_{p^m}`` are realised as ``F_p[x]/(f)`` for a
 monic primitive ``f``, so the residue class of ``x`` generates the
-multiplicative group; one table build over elements packed into integers
-gives discrete and Zech logarithms.  Inside the package a field element is
-its discrete log, with -1 for zero: a product adds logs and a sum is one Zech
-lookup.  Coefficient tuples are only the JSON form.  All types are
-immutable.
+multiplicative group; one walk over elements packed into integers gives
+discrete and Zech logarithms, of the field or of a subfield alone.  Inside
+the package a field element is its discrete log, with -1 for zero: a product
+adds logs and a sum is one Zech lookup.  Coefficient tuples are only the
+JSON form.  All types are immutable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
 from .limits import check
@@ -165,8 +165,8 @@ class FieldSpec:
     zero) and computes with :func:`_log_mul`, :func:`_log_add` and the tables
     of :func:`_field_tables`, where ``c_0 + ... + c_{m-1} x^{m-1}`` is the
     packed integer ``sum c_i p^i``.  Coefficient tuples appear only in
-    :meth:`pack`, :meth:`unpack`, :meth:`log` and :meth:`power_of_gen`, for
-    the JSON form.
+    :meth:`pack`, :meth:`unpack` and :meth:`power_of_gen`, for the JSON
+    form.
     """
 
     p: int
@@ -206,10 +206,6 @@ class FieldSpec:
         """The ``(exp, log, zech)`` tables of :func:`_field_tables`."""
         return _field_tables(self)
 
-    def log(self, e: Sequence[int]) -> int:
-        """The exponent d with ``x^d = e``, or -1 for zero."""
-        return _field_tables(self)[1][self.pack(e)]
-
     def power_of_gen(self, e: int) -> tuple[int, ...]:
         return self.unpack(_field_tables(self)[0][e % (self.size - 1)])
 
@@ -225,22 +221,23 @@ def _pack(p: int, digits: Sequence[int]) -> int:
     return sum(c * p**i for i, c in enumerate(digits))
 
 
-def _packed_ring(p: int, modulus: tuple[int, ...]) -> tuple[Callable[[int], int], Callable[[int, int], int]]:
-    """Multiplication by x, and of two residues, on packed residues modulo
-    the monic ``modulus`` over ``F_p``."""
+def _packed_ring(p: int, modulus: tuple[int, ...]) -> tuple[Callable[..., int], ...]:
+    """Multiplication by x, multiplication and addition of two residues, on
+    packed residues modulo the monic ``modulus`` over ``F_p``."""
     m = len(modulus) - 1
     top = p ** (m - 1)
     # What a carry c out of the top digit folds back to: -c (modulus - x^m).
     fold = [_pack(p, [(-c * a) % p for a in modulus[:-1]]) for c in range(p)]
     places = [p**i for i in range(m)]
 
+    def add(a: int, b: int) -> int:
+        # XOR for p = 2, else digit by digit: the i-th digit of v is v // p^i mod p.
+        return a ^ b if p == 2 else sum((a // place + b // place) % p * place for place in places)
+
     def times_x(v: int) -> int:
         carry, rest = divmod(v, top)
         shifted, f = rest * p, fold[carry]
-        if not carry or p == 2:
-            return shifted ^ f
-        # Digit by digit mod p; the i-th digit of v is v // p^i mod p.
-        return sum((shifted // place + f // place) % p * place for place in places)
+        return shifted ^ f if not carry or p == 2 else add(shifted, f)
 
     def mul(a: int, b: int) -> int:
         """Shift-and-XOR Horner for p = 2, else schoolbook on the digits."""
@@ -262,24 +259,24 @@ def _packed_ring(p: int, modulus: tuple[int, ...]) -> tuple[Callable[[int], int]
                     out[k - m + i] -= c * modulus[i]
         return sum(c % p * place for c, place in zip(out, places))
 
-    return times_x, mul
+    return times_x, mul, add
+
+
+def _x_power(times_x: Callable[[int], int], mul: Callable[[int, int], int], e: int) -> int:
+    """``x^e`` packed, by left-to-right square-and-multiply."""
+    acc = 1
+    for bit in bin(e)[2:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = times_x(acc)
+    return acc
 
 
 def _is_primitive(p: int, modulus: tuple[int, ...]) -> bool:
     """Whether x has order exactly ``N = p^m - 1`` mod ``modulus``: ``x^N = 1``
     and ``x^(N/r) != 1`` for every prime ``r | N`` (Lidl & Niederreiter,
     Thm 3.18), with the primes found by trial division."""
-    times_x, mul = _packed_ring(p, modulus)
-
-    def x_power(e: int) -> int:
-        """``x^e`` by left-to-right square-and-multiply."""
-        acc = 1
-        for bit in bin(e)[2:]:
-            acc = mul(acc, acc)
-            if bit == "1":
-                acc = times_x(acc)
-        return acc
-
+    times_x, mul, _ = _packed_ring(p, modulus)
     N = rest = p ** (len(modulus) - 1) - 1
     exponents = []
     for r in range(2, isqrt(N) + 1):
@@ -288,7 +285,7 @@ def _is_primitive(p: int, modulus: tuple[int, ...]) -> bool:
             while rest % r == 0:
                 rest //= r
     exponents += [N // rest] if rest > 1 else []
-    return x_power(N) == 1 and all(x_power(e) != 1 for e in exponents)
+    return _x_power(times_x, mul, N) == 1 and all(_x_power(times_x, mul, e) != 1 for e in exponents)
 
 
 @lru_cache(maxsize=None)
@@ -325,7 +322,7 @@ def _field_tables(spec: FieldSpec) -> tuple[array, array, array]:
     ``x^a + x^b = x^(a + zech[b - a])``.  Gated by the field_size limit."""
     check("field_size", spec.size)
     p, n = spec.p, spec.size - 1
-    times_x, _ = _packed_ring(p, spec.modulus)
+    times_x, _, _ = _packed_ring(p, spec.modulus)
     exp = array("l", [0]) * n
     log = array("l", [-1]) * spec.size
     v = 1
@@ -352,6 +349,32 @@ def subfield_logs(field: FieldSpec, q: int) -> list[int]:
     return [-1] + [j * step for j in range(q - 1)]
 
 
+@lru_cache(maxsize=None)
+def _subfield_tables(field: FieldSpec, q: int) -> tuple[dict[int, int], dict[int, int], tuple[int, ...]]:
+    """The subfield of size ``q`` of a field with primitive x, walked as the
+    powers of ``x^((p^m - 1)/(q - 1))``: ``log`` of its packed elements (-1 at
+    zero), ``zech[k] = log(1 + x^k)`` on its nonzero logs, and the coefficient
+    logs, low degree first, of x's minimal polynomial ``prod (y - x^(q^i))``."""
+    check("field_size", field.size)
+    logs = subfield_logs(field, q)
+    if not _is_primitive(field.p, field.modulus):
+        raise DomainError("modulus is not primitive")
+    times_x, mul, add = _packed_ring(field.p, field.modulus)
+    gen, v, log = _x_power(times_x, mul, (field.size - 1) // (q - 1)), 1, {0: -1}
+    for k in logs[1:]:
+        log[v] = k
+        v = mul(v, gen)
+    zech = {k: log[add(v, 1)] for v, k in log.items() if k >= 0}
+    poly = [1]
+    for i in range(field.m // factor_prime_power(q)[1]):
+        minus_root = mul(field.p - 1, _x_power(times_x, mul, q**i))
+        # y * poly - root * poly: coefficient i is poly[i - 1] - root * poly[i]
+        poly = [add(hi, mul(minus_root, lo)) for hi, lo in zip([0, *poly], [*poly, 0])]
+    if any(c not in log for c in poly):
+        raise DomainError("minimal polynomial left the subfield")
+    return log, zech, tuple(log[c] for c in poly)
+
+
 # Below the JSON boundary a field element is its discrete log to the base x,
 # with -1 for zero, and n = p^m - 1 is the order of x.
 
@@ -360,7 +383,7 @@ def _log_mul(n: int, a: int, b: int) -> int:
     return -1 if a < 0 or b < 0 else (a + b) % n
 
 
-def _log_add(zech: Sequence[int], n: int, a: int, b: int) -> int:
+def _log_add(zech: Mapping[int, int] | Sequence[int], n: int, a: int, b: int) -> int:
     """x^a + x^b = x^a (1 + x^(b - a))."""
     if a < 0:
         return b
@@ -370,10 +393,11 @@ def _log_add(zech: Sequence[int], n: int, a: int, b: int) -> int:
     return -1 if z < 0 else (a + z) % n
 
 
-def _poly_from_roots(field: FieldSpec, root_logs: Iterable[int]) -> list[int]:
+def _poly_from_roots(field: FieldSpec, zech: Mapping[int, int], root_logs: Iterable[int]) -> list[int]:
     """Coefficient logs, low degree first, of prod (y - x^r) over the root
-    logs r (-1 for a zero root)."""
-    n, zech = field.size - 1, field.tables()[2]
+    logs r (-1 for a zero root), summed through ``zech``: the field's own
+    table, or a subfield's that holds the roots."""
+    n = field.size - 1
     poly = [0]
     for r in root_logs:
         minus_root = _log_mul(n, r, field.minus_one)

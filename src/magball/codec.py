@@ -18,9 +18,9 @@ keep flowing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .algebra import FieldSpec, GroupSpec, _log_add, _log_mul, _poly_from_roots
+from .algebra import FieldSpec, GroupSpec, _log_add, _log_mul, _poly_from_roots, _subfield_tables
 from .ball import BallSpec, ball_images, ball_size
 from .constructions import LinearCode, S2Data
 from .errors import DomainError
@@ -52,9 +52,10 @@ class S2DecoderContext:
     """Tables for decoding the kernel lattice of the size-(q+1) B_t set.
 
     Field elements are held as discrete logs to the base x (-1 for zero), so
-    the decoder multiplies by adding exponents and adds with Zech logarithms.
-    ``min_poly`` is the degree-(t+1) minimal polynomial of the field generator
-    over the subfield of size q, stored low-degree-first.
+    the decoder multiplies by adding exponents and adds with the Zech logs
+    ``zech`` of the subfield of size q, which holds every element it touches.
+    ``min_poly`` is the degree-(t+1) minimal polynomial of x over that
+    subfield, low-degree-first; ``minus_modulus`` negates its lower terms.
     """
 
     q: int
@@ -65,33 +66,29 @@ class S2DecoderContext:
     svals: tuple[int, ...]
     betas: tuple[int, ...]
     min_poly: tuple[int, ...] = field(init=False)
+    minus_modulus: tuple[int, ...] = field(init=False, repr=False)
+    zech: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.validate()
-        object.__setattr__(self, "min_poly", _min_poly_over_subfield(self.field, self.q, self.t + 1))
-
-    @classmethod
-    def from_s2(cls, data: S2Data) -> "S2DecoderContext":
-        return cls(data.q, data.t, data.N, data.field, data.alphas, data.svals, data.betas)
-
-    def validate(self) -> None:
-        q, t, size = self.q, self.t, self.field.size
-        # q >= 2 makes q^(t+1) > size once t + 1 > log2(size): test that first.
-        if t < 2 or q < 2 or t >= size.bit_length() or q ** (t + 1) != size:
-            raise DomainError(f"need t >= 2 and a field of size q^(t+1), got q = {q}, t = {t} "
-                              f"and a field of size {size}")
-        if self.N != (size - 1) // (q - 1):
-            raise DomainError(f"need N = (q^(t+1) - 1)/(q - 1) = {(size - 1) // (q - 1)}, "
-                              f"got {self.N}")
-        n, zech = size - 1, self.field.tables()[2]
+        _, zech, min_poly = _subfield(self.field, self.q, self.t, self.N)
+        n, minus_one = self.field.size - 1, self.field.minus_one
+        object.__setattr__(self, "zech", zech)
+        object.__setattr__(self, "min_poly", min_poly)
+        object.__setattr__(self, "minus_modulus", tuple(_log_mul(n, c, minus_one) for c in min_poly[:-1]))
         for alpha, s, beta in zip(self.alphas, self.svals, self.betas):
-            # beta * eta^s == eta + alpha with eta = x, of log 1, and beta != 0
-            if beta < 0 or (beta + s) % n != _log_add(zech, n, 1, alpha):
+            # beta * y^s == y + alpha mod min_poly, and beta != 0: over F_q,
+            # y stands for eta = x, and the relation puts alpha and beta in F_q.
+            r = _power_of_y(self, s % n)[0]
+            if beta < 0 or _poly_trim([_log_mul(n, beta, c) for c in r]) != [alpha, 0]:
                 raise DomainError("context tables violate beta * eta^s == eta + alpha")
         if len(set(self.svals)) != self.q or 0 in self.svals:
             raise DomainError("splitter values must be distinct and nonzero")
         if not len(self.alphas) == len(self.betas) == len(self.svals):
             raise DomainError("alphas, svals and betas must have one entry per position")
+
+    @classmethod
+    def from_s2(cls, data: S2Data) -> "S2DecoderContext":
+        return cls(data.q, data.t, data.N, data.field, data.alphas, data.svals, data.betas)
 
     def splitter_set(self) -> SplitterSet:
         group = GroupSpec((self.N,))
@@ -104,37 +101,45 @@ class S2DecoderContext:
 
     def to_json(self) -> dict:
         f = self.field
+        packed = {k: v for v, k in _subfield_tables(f, self.q)[0].items()}
         return {
             "type": "s2",
             "q": self.q,
             "t": self.t,
             "N": self.N,
             "field": f.to_json(),
-            "alphas": [list(f.power_of_gen(a)) if a >= 0 else [0] * f.m for a in self.alphas],
+            "alphas": [list(f.unpack(packed[a])) for a in self.alphas],
             "svals": list(self.svals),
-            "betas": [list(f.power_of_gen(b)) for b in self.betas],  # units
+            "betas": [list(f.unpack(packed[b])) for b in self.betas],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "S2DecoderContext":
         f = FieldSpec.from_json(data["field"])
-        alphas, betas = tuple(map(f.log, data["alphas"])), tuple(map(f.log, data["betas"]))
+        q, t, N = int(data["q"]), int(data["t"]), int(data["N"])
+        alphas, betas = ([f.pack(e) for e in data[key]] for key in ("alphas", "betas"))
+        log = _subfield(f, q, t, N)[0]
+        for v in alphas + betas:
+            if v not in log:
+                raise DomainError(f"{list(f.unpack(v))} lies outside the subfield of size {q}")
         svals = tuple(int(s) for s in data["svals"])
-        return cls(int(data["q"]), int(data["t"]), int(data["N"]), f, alphas, svals, betas)
+        return cls(q, t, N, f, tuple(log[v] for v in alphas), svals, tuple(log[v] for v in betas))
 
 
 # Field elements below are discrete logs to the base x, with -1 for zero, and
 # n = p^m - 1 is the order of x.
 
 
-def _min_poly_over_subfield(field: FieldSpec, q: int, degree: int) -> tuple[int, ...]:
-    """prod (y - eta^(q^i)) for i in [0, degree) with eta = x; coefficients
-    land in the size-q subfield, the elements c with c^q = c."""
-    n = field.size - 1
-    poly = _poly_from_roots(field, [pow(q, i, n) for i in range(degree)])
-    if any(c >= 0 and c * (q - 1) % n for c in poly):
-        raise DomainError("minimal polynomial left the subfield")
-    return tuple(poly)
+def _subfield(f: FieldSpec, q: int, t: int, N: int) -> tuple[dict, dict, tuple[int, ...]]:
+    """The subfield tables of an S2 context whose sizes fit each other."""
+    size = f.size
+    # q >= 2 makes q^(t+1) > size once t + 1 > log2(size): test that first.
+    if t < 2 or q < 2 or t >= size.bit_length() or q ** (t + 1) != size:
+        raise DomainError(f"need t >= 2 and a field of size q^(t+1), got q = {q}, t = {t} "
+                          f"and a field of size {size}")
+    if N != (size - 1) // (q - 1):
+        raise DomainError(f"need N = (q^(t+1) - 1)/(q - 1) = {(size - 1) // (q - 1)}, got {N}")
+    return _subfield_tables(f, q)
 
 
 def _poly_trim(poly: Sequence[int]) -> list[int]:
@@ -150,7 +155,7 @@ def _monic(n: int, poly: Sequence[int]) -> list[int]:
 
 
 def _poly_mul_mod(
-    zech: Sequence[int], n: int, a: Sequence[int], b: Sequence[int], minus_modulus: Sequence[int]
+    zech: Mapping[int, int], n: int, a: Sequence[int], b: Sequence[int], minus_modulus: Sequence[int]
 ) -> tuple[list[int], int]:
     """``a * b`` modulo the monic polynomial whose lower coefficients are
     the negatives of ``minus_modulus``, and the number of field
@@ -179,7 +184,21 @@ def _poly_mul_mod(
     return prod_[:deg_m], count
 
 
-def _poly_eval(zech: Sequence[int], n: int, poly: Sequence[int], x: int) -> int:
+def _power_of_y(ctx: S2DecoderContext, s: int) -> tuple[list[int], int]:
+    """``y^s mod min_poly`` by left-to-right square and multiply, trimmed,
+    and the field multiplications spent."""
+    n, zech, minus_modulus = ctx.field.size - 1, ctx.zech, ctx.minus_modulus
+    r, count = [0], 0
+    for bit in bin(s)[2:] if s else "":
+        r, spent = _poly_mul_mod(zech, n, r, r, minus_modulus)
+        count += spent
+        if bit == "1":
+            r, spent = _poly_mul_mod(zech, n, r, [-1, 0], minus_modulus)
+            count += spent
+    return _poly_trim(r), count
+
+
+def _poly_eval(zech: Mapping[int, int], n: int, poly: Sequence[int], x: int) -> int:
     acc = -1
     for c in reversed(poly):
         acc = _log_add(zech, n, _log_mul(n, acc, x), c)
@@ -211,24 +230,10 @@ def decode_s2(
     """
     if len(y) != ctx.q:
         raise DomainError(f"received vector must have length {ctx.q}")
-    f = ctx.field
-    n, zech = f.size - 1, f.tables()[2]
-    count = ctx.q
+    n, zech, minus_one = ctx.field.size - 1, ctx.zech, ctx.field.minus_one
     s = sum(yi * si for yi, si in zip(y, ctx.svals)) % ctx.N
-
-    # r(x) = x^s mod p(x) by left-to-right square and multiply.
-    minus_one = f.minus_one
-    minus_modulus = [_log_mul(n, c, minus_one) for c in ctx.min_poly[:-1]]
-    x_poly = [-1, 0]
-    r = [0]
-    if s:
-        for bit in bin(s)[2:]:
-            r, spent = _poly_mul_mod(zech, n, r, r, minus_modulus)
-            count += spent
-            if bit == "1":
-                r, spent = _poly_mul_mod(zech, n, r, x_poly, minus_modulus)
-                count += spent
-    r = _poly_trim(r)
+    r, spent = _power_of_y(ctx, s)
+    count = ctx.q + spent
     degree = len(r) - 1 if r else 0
 
     positions = []
@@ -252,7 +257,7 @@ def decode_s2(
         # must coincide; reducing s mod N leaves a subfield unit on r.
         beta_prod = sum(ctx.betas[i] for i in positions) % n
         lhs = _monic(n, [_log_mul(n, beta_prod, c) for c in r])
-        rhs = _poly_from_roots(f, [_log_mul(n, ctx.alphas[i], minus_one) for i in positions])
+        rhs = _poly_from_roots(ctx.field, zech, [_log_mul(n, ctx.alphas[i], minus_one) for i in positions])
         if lhs != _monic(n, rhs):
             return S2DecodeResult("fail", None, tuple(positions), ops)
 

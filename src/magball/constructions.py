@@ -625,7 +625,7 @@ def _generator_from_roots(field: FieldSpec, exponents: Sequence[int]) -> tuple[i
     elements are the powers of xi^((p^m - 1)/(p - 1))."""
     step = (field.size - 1) // (field.p - 1)
     out = []
-    for c in _poly_from_roots(field, exponents):
+    for c in _poly_from_roots(field, field.tables()[2], exponents):
         if c >= 0 and c % step:
             raise DomainError("generator polynomial left the prime field")
         out.append(field.power_of_gen(c)[0] if c >= 0 else 0)

@@ -1,5 +1,5 @@
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import pytest
@@ -19,12 +19,14 @@ from magball.algebra import (
     _log_add,
     _log_mul,
     _poly_from_roots,
+    _subfield_tables,
     factor_prime_power,
     is_prime,
     subfield_logs,
 )
 from references import (
     TupleField,
+    min_poly_by_tuples,
     mul_by_x,
     power_table,
     subgroup_order,
@@ -125,17 +127,22 @@ class TestPrimitivePolynomials:
             assert find_primitive_polynomial(p, m).modulus == tuple(map(int, modulus)), (p, m)
 
 
+def _log(field, e):
+    """The exponent d with x^d = e, or -1 for zero, read off the field's tables."""
+    return field.tables()[1][field.pack(e)]
+
+
 class TestDiscreteLog:
     def test_f4_examples(self):
         f = find_primitive_polynomial(2, 2)
-        assert f.log((1, 1)) == 2  # x^2 = x + 1
-        assert f.log((1, 0)) == 0
-        assert f.log((0, 1)) == 1
+        assert _log(f, (1, 1)) == 2  # x^2 = x + 1
+        assert _log(f, (1, 0)) == 0
+        assert _log(f, (0, 1)) == 1
 
     def test_zero_rejected(self):
         # Zero is no power of x: its log is -1, which absorbs products.
         f = find_primitive_polynomial(2, 2)
-        assert f.log((0, 0)) == -1
+        assert _log(f, (0, 0)) == -1
         assert (0, 0) not in {f.power_of_gen(d) for d in range(3)}
         assert _log_mul(3, -1, 2) == _log_mul(3, 2, -1) == -1
 
@@ -145,7 +152,7 @@ class TestDiscreteLog:
         seen = set()
         e = (1,) + (0,) * (m - 1)
         for _ in range(p**m - 1):
-            d = f.log(e)
+            d = _log(f, e)
             assert f.power_of_gen(d) == e
             seen.add(d)
             e = mul_by_x(p, f.modulus, e)
@@ -177,7 +184,7 @@ class TestPackedFieldAgainstTuples:
         (p, m), a, b, e = case
         field, ref, (powers, log) = _tuple_reference(p, m)
         n, zech = field.size - 1, field.tables()[2]
-        la, lb = field.log(a), field.log(b)
+        la, lb = _log(field, a), _log(field, b)
         assert la == log.get(a, -1) and lb == log.get(b, -1)
         assert ref.from_log(_log_mul(n, la, lb)) == ref.mul(a, b)
         assert ref.from_log(_log_add(zech, n, la, lb)) == ref.add(a, b)
@@ -204,7 +211,7 @@ class TestPackedFieldAgainstTuples:
             root = ref.from_log(r)
             expected = [ref.sub(hi, ref.mul(lo, root))
                         for hi, lo in zip([ref.zero, *expected], [*expected, ref.zero])]
-        got = _poly_from_roots(field, roots)
+        got = _poly_from_roots(field, field.tables()[2], roots)
         assert [ref.from_log(c) for c in got] == expected
 
     @pytest.mark.parametrize(
@@ -213,14 +220,14 @@ class TestPackedFieldAgainstTuples:
     )
     def test_pack_rejects_what_is_not_an_element(self, e):
         field = find_primitive_polynomial(2, 4)
-        for op in (field.pack, field.log):
+        for op in (field.pack, partial(_log, field)):
             with pytest.raises(DomainError, match="not an element of F_2"):
                 op(e)
 
     def test_a_list_is_an_element_too(self):
         field = find_primitive_polynomial(3, 2)
         assert field.pack([1, 2]) == field.pack((1, 2)) == 7
-        assert field.log([0, 1]) == 1
+        assert _log(field, [0, 1]) == 1
 
     # x^2: x is nilpotent; x^2 + 1 and x^3 + 1: reducible, x is a unit of
     # order 2 and 3; x^4 + x^3 + x^2 + x + 1: irreducible, x has order 5;
@@ -330,6 +337,25 @@ class TestPrimitives:
             for a in sub:
                 assert ref.pow(a, q) == a  # fixed by the q-power Frobenius
                 assert all(ref.add(a, b) in sub and ref.mul(a, b) in sub for b in sub)
+
+    @pytest.mark.parametrize("p,m,q", [(2, 4, 2), (2, 4, 4), (2, 4, 16), (3, 2, 3), (3, 2, 9),
+                                       (2, 6, 8), (2, 6, 64), (5, 2, 5), (3, 4, 9), (7, 3, 7)])
+    def test_subfield_tables_match_the_field_tables(self, p, m, q):
+        f = find_primitive_polynomial(p, m)
+        exp, _, zech = f.tables()
+        logs = subfield_logs(f, q)[1:]
+        sub_log, sub_zech, min_poly = _subfield_tables(f, q)
+        assert sub_log == {0: -1, **{exp[k]: k for k in logs}}
+        assert sub_zech == {k: zech[k] for k in logs}
+        degree = m // factor_prime_power(q)[1]
+        assert list(map(TupleField(f).from_log, min_poly)) == min_poly_by_tuples(f, q, degree)
+
+    # x^6 + 1 = (x^3 + 1)^2, where x has order 6; x^6 + x^3 + 1 is
+    # irreducible, but x has order 9.
+    @pytest.mark.parametrize("modulus", [(1, 0, 0, 0, 0, 0, 1), (1, 0, 0, 1, 0, 0, 1)])
+    def test_subfield_tables_refuse_a_modulus_that_is_not_primitive(self, modulus):
+        with pytest.raises(DomainError, match="modulus is not primitive"):
+            _subfield_tables(FieldSpec(2, 6, modulus), 4)
 
     # 6 is not a prime power; 5 and 2 are not powers of 3; 8 = 2^3 and 3 does not divide 4.
     @pytest.mark.parametrize("p,m,q", [(2, 4, 6), (3, 2, 5), (3, 2, 2), (2, 4, 8), (2, 4, 1)])

@@ -10,6 +10,7 @@ import pytest
 import magball
 import magball.algebra
 import magball.lattice
+from magball.algebra import FieldSpec
 from magball.cli import FAMILIES, build_parser, main
 
 # The directory holding the ``magball`` package these tests imported.  A
@@ -534,6 +535,44 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert f"error: {context}: modulus coefficients must lie in [0, 2)" in captured.err
+
+    # Raising s_0 by 1 and dividing beta_0 by x keeps beta_0 * x^s_0 = x, so
+    # the relation holds in the whole field, but beta_0 leaves the subfield
+    # of size 4 that the decoder computes in.
+    def test_s2_context_beta_outside_the_subfield_is_exit_2(self, tmp_path, capsys):
+        main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+              "--variant", "s2", "--out-dir", str(tmp_path), "--prefix", "bc"])
+        context = tmp_path / "bc.decoder.json"
+        data = json.loads(context.read_text())
+        field = FieldSpec.from_json(data["field"])
+        beta_log = field.tables()[1][field.pack(data["betas"][0])]
+        data["svals"][0] += 1
+        data["betas"][0] = list(field.power_of_gen(beta_log - 1))
+        context.write_text(json.dumps(data))
+        vectors = tmp_path / "in.jsonl"
+        vectors.write_text("[1,0,0,0]\n")
+        capsys.readouterr()
+        rc = main(["decode", "--context", str(context), "--in", str(vectors)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert (f"error: {context}: {data['betas'][0]} lies outside the subfield of size 4"
+                in captured.err)
+
+    # x^6 + 1 = (x^3 + 1)^2 over F_2: x has order 6, not 63.
+    def test_s2_context_modulus_that_is_not_primitive_is_exit_2(self, tmp_path, capsys):
+        main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
+              "--variant", "s2", "--out-dir", str(tmp_path), "--prefix", "bc"])
+        context = tmp_path / "bc.decoder.json"
+        data = json.loads(context.read_text())
+        data["field"]["modulus"] = [1, 0, 0, 0, 0, 0, 1]
+        context.write_text(json.dumps(data))
+        vectors = tmp_path / "in.jsonl"
+        vectors.write_text("[1,0,0,0]\n")
+        capsys.readouterr()
+        rc = main(["decode", "--context", str(context), "--in", str(vectors)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"error: {context}: modulus is not primitive" in captured.err
 
     def test_s2_context_field_above_field_size_is_exit_2(self, tmp_path, capsys, monkeypatch):
         # q = 128, t = 2 fits F_{2^21} (x^21 + x^2 + 1), past the 2^20

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import magball.algebra
 from magball import (
     BallSpec,
     DomainError,
@@ -193,23 +194,41 @@ def _s2_vectors(data, count, seed):
     return out
 
 
+def _assert_decodes_as_the_tuple_decoder(ctx, data):
+    q, t = data.q, data.t
+    from_log = TupleField(data.field).from_log
+    assert list(map(from_log, ctx.min_poly)) == min_poly_by_tuples(data.field, q, t + 1)
+    oks = 0
+    for y in _s2_vectors(data, 24 if q**t > 10**4 else 60, seed=q * 10 + t):
+        for verify_identity in (False, True):
+            got = decode_s2(ctx, y, verify_identity=verify_identity)
+            status, codeword, positions, ops = decode_s2_by_tuples(data, y, verify_identity)
+            assert (got.status, got.codeword, got.positions) == (status, codeword, positions)
+            assert (got.ops.mul, got.ops.add) == (ops.mul, ops.add)
+            oks += got.status == "ok"
+    assert oks  # the comparison covered successful decodes, not only failures
+
+
 class TestS2AgainstTuples:
     @pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 16, 27])
     @pytest.mark.parametrize("t", [2, 3])
     def test_decode_matches_the_tuple_decoder(self, q, t):
         data = bose_chowla_s2(q, t)
-        ctx = S2DecoderContext.from_s2(data)
-        from_log = TupleField(data.field).from_log
-        assert list(map(from_log, ctx.min_poly)) == min_poly_by_tuples(data.field, q, t + 1)
-        oks = 0
-        for y in _s2_vectors(data, 24 if q**t > 10**4 else 60, seed=q * 10 + t):
-            for verify_identity in (False, True):
-                got = decode_s2(ctx, y, verify_identity=verify_identity)
-                status, codeword, positions, ops = decode_s2_by_tuples(data, y, verify_identity)
-                assert (got.status, got.codeword, got.positions) == (status, codeword, positions)
-                assert (got.ops.mul, got.ops.add) == (ops.mul, ops.add)
-                oks += got.status == "ok"
-        assert oks  # the comparison covered successful decodes, not only failures
+        _assert_decodes_as_the_tuple_decoder(S2DecoderContext.from_s2(data), data)
+
+    # The construction needs the whole field's tables; loading its context
+    # and decoding need only the subfield of size q.
+    @pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 16, 27])
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_a_loaded_context_decodes_without_the_field_tables(self, q, t, monkeypatch):
+        data = bose_chowla_s2(q, t)
+
+        def refused(field):
+            raise AssertionError(f"the tables of F_{field.p}^{field.m} were built")
+
+        monkeypatch.setattr(magball.algebra, "_field_tables", refused)
+        ctx = S2DecoderContext.from_json(S2DecoderContext.from_s2(data).to_json())
+        _assert_decodes_as_the_tuple_decoder(ctx, data)
 
 
 @st.composite
