@@ -126,43 +126,66 @@ def is_bt_set(
     return True, None
 
 
-def _backtrack(N: int, target_size: int, workload, node) -> tuple[list[int], bool]:
-    """Depth-first search over Z_N, extending in increasing order.
+def _bits(N: int, positions) -> int:
+    """The N-bit int with the bits at ``positions`` (residues mod N) set."""
+    buf = bytearray((N + 7) >> 3)
+    for y in positions:
+        buf[y >> 3] |= 1 << (y & 7)
+    return int.from_bytes(buf, "little")
 
-    ``workload(size)`` is the enumeration workload of the full check of a set
-    of that size.  ``node(current)`` returns the test of a candidate ``y``:
-    None if ``current + [y]`` is rejected, else a callable that undoes what
-    accepting ``y`` recorded in the caller's state.  Returns the first set of
-    ``target_size`` elements, or else the first largest set seen, with the
-    reached flag.
+
+def _backtrack(N: int, target_size: int, workload, node) -> tuple[list[int], bool]:
+    """Depth-first search over Z_N, extending in increasing order, pruned.
+
+    Both searched properties are hereditary (a subset of a valid set is
+    valid) and invariant under ``x -> x + c``.  So the root tries 0 alone:
+    a set with least element ``m`` translates by ``-m`` to a valid set that
+    holds 0 and comes first in the search order, so the first set of
+    ``target_size`` elements, or the first largest set, lies in the
+    0-subtree.  A node's candidates are an N-bit int drawn from its parent's
+    survivors, and a subtree whose current set plus candidates cannot
+    outgrow the largest set seen so far is skipped.
+
+    ``node(current, candidates)`` returns the test of a candidate ``y`` and
+    the candidates less those it rejects at once.  The test returns None if
+    ``current + [y]`` is rejected, else a callable that undoes what accepting
+    ``y`` recorded in the caller's state.  ``workload(size)`` is the
+    enumeration workload of the full check of a set of that size; a node
+    checks it only if it tests a candidate, before the first one.  Returns
+    the first set of ``target_size`` elements, or else the first largest set
+    seen, with the reached flag.
     """
     current: list[int] = []
     best: list[int] = []
 
-    def extend(start: int) -> bool:
+    def extend(candidates: int) -> bool:
         nonlocal best
         if len(current) > len(best):
             best = list(current)
         if len(current) >= target_size:
             return True
-        if start >= N:
-            return False
-        # Every candidate here has the same size, so one check fires exactly
-        # where a check per candidate would.
-        check("enumeration", workload(len(current) + 1))
-        admit = node(current)
-        for y in range(start, N):
+        admit, candidates = node(current, candidates)
+        left = candidates.bit_count()
+        if len(current) + left > len(best):
+            check("enumeration", workload(len(current) + 1))
+        while len(current) + left > len(best):
+            low = candidates & -candidates
+            candidates ^= low
+            left -= 1
+            y = low.bit_length() - 1
             undo = admit(y)
             if undo is None:
                 continue
             current.append(y)
-            if extend(y + 1):
+            if extend(candidates):
                 return True
             current.pop()
             undo()
+            if not current:  # the root tries 0 alone
+                break
         return False
 
-    if extend(0):
+    if extend((1 << N) - 1):
         return current, True
     return best, False
 
@@ -172,47 +195,52 @@ def search_bt_set(N: int, t: int, target_size: int) -> tuple[BtSet, bool]:
     the first set found or the maximum-size set seen, with a reached flag.
 
     A candidate ``y`` only adds the t-multisets that contain it, with sums
-    ``j y + sigma`` for ``sigma`` a (t-j)-multiset sum of the accepted set, so
-    only those are tested against the stored t-sums."""
+    ``j y + sigma`` for ``sigma`` a (t-j)-multiset sum of the accepted set.
+    The stored t-sums are an N-bit int, so one rotation per (t-1)-sum
+    ``sigma`` rejects every candidate with ``y + sigma`` among them at once;
+    the sums with ``j >= 2`` are tested per candidate."""
     _require_positive(N=N, t=t, target_size=target_size)
     # sums[s]: the s-multiset sums of the accepted set, for s < t.  They are
     # distinct, as a B_t set is also a B_s set.
     sums: list[list[int]] = [[0]] + [[] for _ in range(t - 1)]
-    tsums: set[int] = set()
+    tsums = 0
+
+    def node(current: list[int], candidates: int):
+        for sigma in sums[t - 1]:
+            candidates &= ~((tsums >> sigma) | (tsums << (N - sigma)))
+        return admit, candidates
 
     def admit(y: int):
-        top = sums[t - 1]
-        for sigma in top:  # most candidates fail here, so test these first
-            if (y + sigma) % N in tsums:
-                return None
-        # The sums y + sigma are distinct because the (t-1)-sums are.
-        fresh = {(y + sigma) % N for sigma in top}
+        nonlocal tsums
+        # The sums y + sigma are distinct, as the (t-1)-sums are, and the
+        # node's rotations left none of them stored.
+        fresh = {(y + sigma) % N for sigma in sums[t - 1]}
         for j in range(2, t + 1):
             jy = j * y
             for sigma in sums[t - j]:
                 v = (jy + sigma) % N
-                if v in tsums or v in fresh:
+                if tsums >> v & 1 or v in fresh:
                     return None
                 fresh.add(v)
         marks = [len(level) for level in sums]
         for s in range(t - 1, 0, -1):  # downwards: sums[s - j] is still old
             sums[s].extend((j * y + sigma) % N for j in range(1, s + 1) for sigma in sums[s - j])
-        tsums.update(fresh)
+        old = tsums
+        tsums |= _bits(N, fresh)
 
         def undo() -> None:
-            tsums.difference_update(fresh)
+            nonlocal tsums
+            tsums = old
             for level, mark in zip(sums, marks):
                 del level[mark:]
 
         return undo
 
-    found, reached = _backtrack(
-        N, target_size, lambda size: comb(size + t - 1, t), lambda current: admit
-    )
+    found, reached = _backtrack(N, target_size, lambda size: comb(size + t - 1, t), node)
     ok, witness = is_bt_set(found, N, t)
     if not ok:
         raise OracleDisagreement(
-            f"incremental B_{t} search returned {found} over Z_{N}; "
+            f"B_{t} search returned {found} over Z_{N}; "
             f"the full check finds {witness[0]} and {witness[1]} with one sum"
         )
     return BtSet(N, tuple(found), t, "search"), reached
@@ -335,21 +363,36 @@ def _sidon_relations(k: int) -> list[tuple[int, tuple[int, ...]]]:
 
 def _sidon_blocked(
     accepted: Sequence[int], N: int, relations: Sequence[tuple[int, tuple[int, ...]]]
-) -> list[tuple[int, set[int]]]:
-    """For each multiplier ``s`` of :func:`_sidon_relations`, the residues that
-    ``s y`` must avoid for ``y``, not in the k-fold Sidon set ``accepted``, to
-    extend it."""
-    blocked: dict[int, set[int]] = {}
+) -> int:
+    """The residues ``y`` that ``accepted[-1]`` newly bars from extending the
+    k-fold Sidon set ``accepted``, as an N-bit int: those where ``s y`` is a
+    value ``-sum(c x)`` of a relation ``(s, others)`` of
+    :func:`_sidon_relations`, over elements ``x`` of ``accepted`` at least one
+    of which is ``accepted[-1]``.  The union over the prefixes of
+    ``accepted`` bars exactly the residues outside it that fail.
+
+    A multiplier ``s`` need not be a unit mod N (``s = 2`` at N = 2, k = 1),
+    so each value bars every preimage under ``y -> s y``."""
+    newest = accepted[-1]
+    values: dict[int, set[int]] = {}
     for s, others in relations:
-        values = {0}
-        for c in others:
-            values = {(v - c * x) % N for v in values for x in accepted}
-        blocked.setdefault(s, set()).update(values)
-    return list(blocked.items())
-
-
-def _sidon_admits(blocked: Sequence[tuple[int, set[int]]], y: int, N: int) -> bool:
-    return all(s * y % N not in values for s, values in blocked)
+        found = values.setdefault(s, set())
+        for c in set(others):  # newest at one position of coefficient c
+            rest = list(others)
+            rest.remove(c)
+            part = {-c * newest % N}
+            for d in rest:
+                part = {(v - d * x) % N for v in part for x in accepted}
+            found |= part
+    blocked = 0
+    for s, found in values.items():
+        g = gcd(s, N)
+        step = N // g  # s y == v has the g solutions y0 + i step when g | v
+        inverse = pow(s // g, -1, step)
+        roots = _bits(step, [v // g * inverse % step for v in found if v % g == 0])
+        for i in range(g):
+            blocked |= roots << i * step
+    return blocked
 
 
 def _no_undo() -> None:
@@ -358,21 +401,23 @@ def _no_undo() -> None:
 
 def search_kfold_sidon(N: int, k: int, target_size: int) -> tuple[SidonParams, bool]:
     """Deterministic backtracking over Z_N in increasing order, extending while
-    the k-fold Sidon property holds."""
+    the k-fold Sidon property holds; each node drops the residues its set
+    blocks from its candidates, so every candidate left is accepted."""
     _require_positive(N=N, k=k, target_size=target_size)
     if gcd(N, factorial(k)) != 1:
         raise DomainError("N must be coprime to k!")
     relations = _sidon_relations(k)
 
-    def node(current: list[int]):
-        blocked = _sidon_blocked(current, N, relations)
-        return lambda y: _no_undo if _sidon_admits(blocked, y, N) else None
+    def node(current: list[int], candidates: int):
+        if current:
+            candidates &= ~_sidon_blocked(current, N, relations)
+        return lambda y: _no_undo, candidates
 
     found, reached = _backtrack(N, target_size, lambda size: size**4 * (2 * k + 1) ** 3, node)
     ok, witness = is_kfold_sidon(found, N, k)
     if not ok:
         raise OracleDisagreement(
-            f"incremental {k}-fold Sidon search returned {found} over Z_{N}; "
+            f"{k}-fold Sidon search returned {found} over Z_{N}; "
             f"the full check finds coefficients {witness[0]} with solution {witness[1]}"
         )
     return SidonParams(N, k, tuple(found)), reached

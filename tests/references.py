@@ -12,10 +12,13 @@ the code lattice (:func:`magball.code_lattice`); the reference takes the
 Hermite form of the generator rows stacked on ``p I``.  Determinants come
 from the Hermite pivots.
 
-The package's B_t and k-fold Sidon searches test each candidate only against
-the sums and relations it adds; the references below re-run the full public
-checker on every candidate set, and triviality of a Sidon solution is decided
-by trying every partition.
+The package's B_t and k-fold Sidon searches prune: the root tries 0 alone,
+candidates are bit masks filtered at each node, and a subtree that cannot
+outgrow the largest set seen is skipped.  The unpruned references walk every
+root and every candidate, testing each only against the sums and relations
+it adds; the ``_by_recheck`` references re-run the full public checker on
+every candidate set, and triviality of a Sidon solution is decided by trying
+every partition.
 
 The package holds a field element as its discrete log, multiplies by
 adding logs and adds by Zech lookups in tables built over elements packed
@@ -32,6 +35,7 @@ the reference sums each row of ``H`` against the vector and reduces it.
 """
 
 from itertools import combinations, product
+from math import comb
 from typing import Iterator, Sequence
 
 from magball import (
@@ -49,6 +53,7 @@ from magball import (
     is_kfold_sidon,
 )
 from magball.codec import OpCounter
+from magball.constructions import _sidon_relations
 from magball.lattice import LatticeBasis, _snf_full, basis_from_rows, hermite_normal_form
 from magball.limits import check
 
@@ -186,6 +191,104 @@ def search_kfold_sidon_by_recheck(N: int, k: int, target_size: int) -> tuple[Sid
         N, target_size, lambda cand: is_kfold_sidon(cand, N, k)[0]
     )
     return SidonParams(N, k, tuple(found)), reached
+
+
+def _backtrack_unpruned(N: int, target_size: int, workload, node) -> tuple[list[int], bool]:
+    """Depth-first search over all of Z_N, extending in increasing order, with
+    no pruning: every root, every candidate.  ``workload(size)`` is checked
+    at every node with a candidate left, before it is tested.  ``node(current)``
+    returns the test of a candidate ``y``: None if ``current + [y]`` is
+    rejected, else a callable that undoes what accepting ``y`` recorded."""
+    current: list[int] = []
+    best: list[int] = []
+
+    def extend(start: int) -> bool:
+        nonlocal best
+        if len(current) > len(best):
+            best = list(current)
+        if len(current) >= target_size:
+            return True
+        if start >= N:
+            return False
+        check("enumeration", workload(len(current) + 1))
+        admit = node(current)
+        for y in range(start, N):
+            undo = admit(y)
+            if undo is None:
+                continue
+            current.append(y)
+            if extend(y + 1):
+                return True
+            current.pop()
+            undo()
+        return False
+
+    if extend(0):
+        return current, True
+    return best, False
+
+
+def search_bt_set_unpruned(N: int, t: int, target_size: int) -> tuple[BtSet, bool]:
+    """Backtracking for a B_t set that tests a candidate ``y`` against the
+    stored t-sums only by the sums ``j y + sigma`` it adds, one at a time."""
+    sums: list[list[int]] = [[0]] + [[] for _ in range(t - 1)]
+    tsums: set[int] = set()
+
+    def admit(y: int):
+        fresh: set[int] = set()
+        for j in range(1, t + 1):
+            for sigma in sums[t - j]:
+                v = (j * y + sigma) % N
+                if v in tsums or v in fresh:
+                    return None
+                fresh.add(v)
+        marks = [len(level) for level in sums]
+        for s in range(t - 1, 0, -1):
+            sums[s].extend((j * y + sigma) % N for j in range(1, s + 1) for sigma in sums[s - j])
+        tsums.update(fresh)
+
+        def undo() -> None:
+            tsums.difference_update(fresh)
+            for level, mark in zip(sums, marks):
+                del level[mark:]
+
+        return undo
+
+    found, reached = _backtrack_unpruned(
+        N, target_size, lambda size: comb(size + t - 1, t), lambda current: admit
+    )
+    return BtSet(N, tuple(found), t, "search"), reached
+
+
+def _sidon_blocked_values(accepted: Sequence[int], N: int, k: int) -> list[tuple[int, set[int]]]:
+    """For each multiplier ``s`` of the Sidon relations, the residues that
+    ``s y`` must avoid for ``y``, outside the k-fold Sidon set ``accepted``,
+    to extend it; rebuilt from the whole set."""
+    blocked: dict[int, set[int]] = {}
+    for s, others in _sidon_relations(k):
+        values = {0}
+        for c in others:
+            values = {(v - c * x) % N for v in values for x in accepted}
+        blocked.setdefault(s, set()).update(values)
+    return list(blocked.items())
+
+
+def search_kfold_sidon_unpruned(N: int, k: int, target_size: int) -> tuple[SidonParams, bool]:
+    """Backtracking for a k-fold Sidon set that tests each candidate ``y`` by
+    ``s y`` against the values every relation's multiplier ``s`` must avoid."""
+
+    def node(current: list[int]):
+        blocked = _sidon_blocked_values(current, N, k)
+        return lambda y: _no_undo if all(s * y % N not in v for s, v in blocked) else None
+
+    found, reached = _backtrack_unpruned(
+        N, target_size, lambda size: size**4 * (2 * k + 1) ** 3, node
+    )
+    return SidonParams(N, k, tuple(found)), reached
+
+
+def _no_undo() -> None:
+    pass
 
 
 def trivial_solution_by_partitions(cs: Sequence[int], xs: Sequence[int]) -> bool:

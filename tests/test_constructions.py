@@ -12,6 +12,7 @@ from magball import (
     DomainError,
     GroupSpec,
     OracleDisagreement,
+    ResourceLimitError,
     bch_code,
     behrend_ruzsa_splitter,
     behrend_sphere_sets,
@@ -40,7 +41,6 @@ from magball.cli import main
 from magball.constructions import (
     LinearCode,
     _floor_ln,
-    _sidon_admits,
     _sidon_blocked,
     _sidon_relations,
     _trivial_solution,
@@ -51,7 +51,9 @@ from references import (
     TupleField,
     code_lattice_by_hnf,
     search_bt_set_by_recheck,
+    search_bt_set_unpruned,
     search_kfold_sidon_by_recheck,
+    search_kfold_sidon_unpruned,
     subgroup_order,
     trivial_solution_by_partitions,
 )
@@ -219,9 +221,22 @@ def _sidon_moduli(k: int, top: int):
     return st.integers(1, top).filter(lambda N: gcd(N, factorial(k)) == 1)
 
 
+def _assert_blocked_matches_full_check(accepted: list[int], N: int, k: int) -> None:
+    """What each element of ``accepted`` newly bars, over the prefixes, is
+    exactly the residues outside it that fail the full check."""
+    blocked = 0
+    for i in range(len(accepted)):
+        blocked |= _sidon_blocked(accepted[: i + 1], N, _sidon_relations(k))
+    assert blocked >> N == 0
+    for y in set(range(N)) - set(accepted):
+        assert (blocked >> y & 1) != is_kfold_sidon(accepted + [y], N, k)[0]
+
+
 class TestIncrementalSearch:
-    """The searches test a candidate only against what it adds; the
-    references re-run the full checker on every candidate set."""
+    """The searches start at 0 alone, draw candidates from bit masks and skip
+    subtrees that cannot outgrow the best set; the unpruned references walk
+    every root and candidate, and the ``_by_recheck`` references re-run the
+    full checker on every candidate set."""
 
     @pytest.mark.parametrize(
         "search, args, elements, reached",
@@ -230,32 +245,93 @@ class TestIncrementalSearch:
             (search_kfold_sidon, (13, 1, 5), (0, 1, 3, 9), False),
             (search_bt_set, (80, 2, 9), (0, 1, 3, 9, 22, 27, 34, 38, 66), True),
             (search_bt_set, (30, 2, 7), (0, 1, 3, 7, 12), False),
+            (search_kfold_sidon, (55, 2, 6), (0, 1, 4, 13, 20), False),
+            (search_bt_set, (60, 3, 7), (0, 1, 4, 13), False),
+            # Reached within a few candidates of 0: only a lazy search at
+            # this N finishes at once.
+            (search_bt_set, (1000003, 2, 8), (0, 1, 3, 7, 12, 20, 30, 44), True),
+            (search_kfold_sidon, (1000003, 1, 6), (0, 1, 3, 7, 12, 20), True),
         ],
     )
     def test_desk_scale_results(self, search, args, elements, reached):
         found, hit = search(*args)
         assert (found.elements, hit) == (elements, reached)
 
-    # The references re-check every candidate set in full, so an exhaustive
-    # search soon takes them seconds: for B_2 beyond N = 26 at target 7, and
-    # for 2- and 3-fold Sidon sets beyond target 3.  Targets stay below that.
+    # The unpruned references take up to seconds on the exhaustive corners of
+    # these ranges (B_2 sets of 7 or 8 beyond N = 30, B_3 sets beyond N = 40,
+    # k-fold Sidon sets past 5 (k = 1) or 3 (k = 2, 3) beyond N = 25), and the
+    # _by_recheck references already beyond B_2 sets of 6 at N = 26 and Sidon
+    # sets of 4; each is diffed where it takes well under a second.
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 40), st.sampled_from([1, 2, 3]), st.integers(1, 7))
+    @given(st.integers(1, 44), st.sampled_from([1, 2, 3]), st.integers(1, 8))
     def test_bt_search_matches_reference(self, N, t, target):
-        assume(t != 2 or target <= 5 or N <= 26)
+        assume(t != 2 or target <= 6 or N <= 30)
+        assume(t != 3 or target <= 4 or N <= 40)
         found, reached = search_bt_set(N, t, target)
-        ref, ref_reached = search_bt_set_by_recheck(N, t, target)
+        ref, ref_reached = search_bt_set_unpruned(N, t, target)
         assert (found.elements, reached) == (ref.elements, ref_reached)
+        if (t != 2 or target <= 5 or N <= 26) and target <= 7:
+            ref, ref_reached = search_bt_set_by_recheck(N, t, target)
+            assert (found.elements, reached) == (ref.elements, ref_reached)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_sidon_search_matches_reference(self, data):
         k = data.draw(st.sampled_from([1, 2, 3]))
-        N = data.draw(_sidon_moduli(k, 60))
-        target = data.draw(st.integers(1, 4 if k == 1 else 3))
+        N = data.draw(_sidon_moduli(k, 61))
+        target = data.draw(st.integers(1, 6))
+        assume(target <= {1: 5, 2: 3, 3: 3}[k] or N <= {1: 23, 2: 23, 3: 25}[k])
         found, reached = search_kfold_sidon(N, k, target)
-        ref, ref_reached = search_kfold_sidon_by_recheck(N, k, target)
+        ref, ref_reached = search_kfold_sidon_unpruned(N, k, target)
         assert (found.elements, reached) == (ref.elements, ref_reached)
+        if target <= (4 if k == 1 else 3):
+            ref, ref_reached = search_kfold_sidon_by_recheck(N, k, target)
+            assert (found.elements, reached) == (ref.elements, ref_reached)
+
+    # Only nodes that test a candidate check the enumeration workload, so the
+    # pruned search stops where the unpruned one does, with the same message,
+    # or finishes with its unlimited result where it never tests a candidate
+    # of the size the unpruned search stops at.
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_enumeration_limit_matches_the_unpruned_search(self, data):
+        if data.draw(st.booleans(), label="bt"):
+            param = data.draw(st.sampled_from([1, 2, 3]), label="t")
+            N = data.draw(st.integers(1, 26), label="N")
+            searches = (search_bt_set, search_bt_set_unpruned)
+            workload = lambda size: comb(size + param - 1, param)
+        else:
+            param = data.draw(st.sampled_from([1, 2, 3]), label="k")
+            N = data.draw(_sidon_moduli(param, 40), label="N")
+            searches = (search_kfold_sidon, search_kfold_sidon_unpruned)
+            workload = lambda size: size**4 * (2 * param + 1) ** 3
+        target = data.draw(st.integers(1, 6 if searches[0] is search_bt_set else 4))
+        size = data.draw(st.integers(1, target), label="size")
+        limit = workload(size) - data.draw(st.integers(0, 1), label="below")
+
+        def run(search):
+            with limits_overridden(enumeration=limit):
+                try:
+                    found, reached = search(N, param, target)
+                except ResourceLimitError as exc:
+                    return str(exc)
+            return found.elements, reached
+
+        got, expected = run(searches[0]), run(searches[1])
+        if isinstance(got, str) or not isinstance(expected, str):
+            assert got == expected
+        else:
+            found, reached = searches[0](N, param, target)
+            assert got == (found.elements, reached)
+
+    def test_enumeration_limit_past_the_last_tested_size(self):
+        # No set of 5 extends to 6 over Z_21; the pruned search tests no
+        # sixth candidate, while the unpruned one checks C(7, 2) = 21 first.
+        with limits_overridden(enumeration=20):
+            found, reached = search_bt_set(21, 2, 6)
+            assert (found.elements, reached) == ((0, 1, 4, 14, 16), False)
+            with pytest.raises(ResourceLimitError, match="enumeration workload 21 exceeds"):
+                search_bt_set_unpruned(21, 2, 6)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -270,11 +346,18 @@ class TestIncrementalSearch:
                 break
             if is_kfold_sidon(accepted + [x], N, k)[0]:
                 accepted.append(x)
-        blocked = _sidon_blocked(accepted, N, _sidon_relations(k))
-        for y in data.draw(st.lists(st.integers(0, N - 1), max_size=6)):
-            if y not in accepted:
-                expected = is_kfold_sidon(accepted + [y], N, k)[0]
-                assert _sidon_admits(blocked, y, N) == expected
+        _assert_blocked_matches_full_check(accepted, N, k)
+
+    # A multiplier above k may share a factor with N (gcd(N, k!) == 1 only
+    # covers those up to k), and then s y == v has gcd(s, N) roots or none.
+    @pytest.mark.parametrize("N, k", [(2, 1), (4, 1), (10, 1), (9, 2), (15, 2), (25, 3)])
+    def test_sidon_multiplier_need_not_be_a_unit(self, N, k):
+        assert any(gcd(s, N) > 1 for s, _ in _sidon_relations(k))
+        for target in range(1, 5):
+            found, reached = search_kfold_sidon(N, k, target)
+            ref, ref_reached = search_kfold_sidon_unpruned(N, k, target)
+            assert (found.elements, reached) == (ref.elements, ref_reached)
+        _assert_blocked_matches_full_check(list(search_kfold_sidon(N, k, 6)[0].elements), N, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sidon_relations_cover_every_vector(self, k):
