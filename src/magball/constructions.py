@@ -126,15 +126,20 @@ def is_bt_set(
     return True, None
 
 
-def _bits(N: int, positions) -> int:
-    """The N-bit int with the bits at ``positions`` (residues mod N) set."""
-    buf = bytearray((N + 7) >> 3)
+# Residues a search filters first past its root; a node doubles its window
+# from there each time the candidates inside it run out.
+_WINDOW = 64
+
+
+def _bits(size: int, positions) -> int:
+    """The int with the bits at ``positions``, each below ``size``, set."""
+    buf = bytearray((size + 7) >> 3)
     for y in positions:
         buf[y >> 3] |= 1 << (y & 7)
     return int.from_bytes(buf, "little")
 
 
-def _backtrack(N: int, target_size: int, workload, node) -> tuple[list[int], bool]:
+def _backtrack(N: int, target_size: int, workload, barred, admit) -> tuple[list[int], bool]:
     """Depth-first search over Z_N, extending in increasing order, pruned.
 
     Both searched properties are hereditary (a subset of a valid set is
@@ -142,33 +147,53 @@ def _backtrack(N: int, target_size: int, workload, node) -> tuple[list[int], boo
     a set with least element ``m`` translates by ``-m`` to a valid set that
     holds 0 and comes first in the search order, so the first set of
     ``target_size`` elements, or the first largest set, lies in the
-    0-subtree.  A node's candidates are an N-bit int drawn from its parent's
-    survivors, and a subtree whose current set plus candidates cannot
-    outgrow the largest set seen so far is skipped.
+    0-subtree.
 
-    ``node(current, candidates)`` returns the test of a candidate ``y`` and
-    the candidates less those it rejects at once.  The test returns None if
-    ``current + [y]`` is rejected, else a callable that undoes what accepting
-    ``y`` recorded in the caller's state.  ``workload(size)`` is the
+    A node's candidates are a bit mask over a window ``[0, width)`` of
+    residues, drawn from its parent's survivors; the residues past the
+    window are not filtered yet and count as candidates.  When the window's
+    candidates run out, the node doubles the window and filters the new
+    residues, so a search that reaches its target near 0 touches no more of
+    Z_N than that, and a window past the ``group_order`` limit raises.  A
+    subtree whose current set plus candidates cannot outgrow the largest set
+    seen so far is skipped.
+
+    ``barred(width)`` returns, as a bit mask, the residues below ``width``
+    that the set accepted so far rejects at once; bits from ``width`` up are
+    ignored.  ``admit(y)`` tests a candidate the mask let through: it returns
+    None if ``y`` is rejected, else records ``y`` in the caller's state and
+    returns a callable that undoes that.  ``workload(size)`` is the
     enumeration workload of the full check of a set of that size; a node
-    checks it only if it tests a candidate, before the first one.  Returns
-    the first set of ``target_size`` elements, or else the first largest set
-    seen, with the reached flag.
+    checks it before it tests its first candidate.  Returns the first set of
+    ``target_size`` elements, or else the first largest set seen, with the
+    reached flag.
     """
     current: list[int] = []
     best: list[int] = []
 
-    def extend(candidates: int) -> bool:
+    def extend(candidates: int, width: int) -> bool:
         nonlocal best
         if len(current) > len(best):
             best = list(current)
         if len(current) >= target_size:
             return True
-        admit, candidates = node(current, candidates)
-        left = candidates.bit_count()
-        if len(current) + left > len(best):
-            check("enumeration", workload(len(current) + 1))
+        if len(current) + candidates.bit_count() + N - width <= len(best):
+            return False
+        candidates &= ~barred(width)
+        left = candidates.bit_count() + N - width
+        checked = False
         while len(current) + left > len(best):
+            if not candidates:  # the window is spent; left > 0, so width < N
+                grown = max(2 * width, _WINDOW)
+                grown = N if 2 * grown > N else grown
+                check("group_order", grown)
+                candidates = ((1 << grown) - (1 << width)) & ~barred(grown)
+                width = grown
+                left = candidates.bit_count() + N - width
+                continue
+            if not checked:
+                check("enumeration", workload(len(current) + 1))
+                checked = True
             low = candidates & -candidates
             candidates ^= low
             left -= 1
@@ -177,7 +202,7 @@ def _backtrack(N: int, target_size: int, workload, node) -> tuple[list[int], boo
             if undo is None:
                 continue
             current.append(y)
-            if extend(candidates):
+            if extend(candidates, width):
                 return True
             current.pop()
             undo()
@@ -185,7 +210,7 @@ def _backtrack(N: int, target_size: int, workload, node) -> tuple[list[int], boo
                 break
         return False
 
-    if extend((1 << N) - 1):
+    if extend(1, 1):
         return current, True
     return best, False
 
@@ -196,24 +221,29 @@ def search_bt_set(N: int, t: int, target_size: int) -> tuple[BtSet, bool]:
 
     A candidate ``y`` only adds the t-multisets that contain it, with sums
     ``j y + sigma`` for ``sigma`` a (t-j)-multiset sum of the accepted set.
-    The stored t-sums are an N-bit int, so one rotation per (t-1)-sum
-    ``sigma`` rejects every candidate with ``y + sigma`` among them at once;
-    the sums with ``j >= 2`` are tested per candidate."""
+    The stored t-sums are a bit mask, so one rotation per (t-1)-sum
+    ``sigma`` bars every candidate with ``y + sigma`` among them at once;
+    the sums with ``j >= 2`` are tested per candidate.  While every element
+    lies below ``width`` and ``t width <= N``, no sum wraps, so the mask is at
+    most ``t width`` bits long and its rotation a plain shift."""
     _require_positive(N=N, t=t, target_size=target_size)
     # sums[s]: the s-multiset sums of the accepted set, for s < t.  They are
     # distinct, as a B_t set is also a B_s set.
     sums: list[list[int]] = [[0]] + [[] for _ in range(t - 1)]
     tsums = 0
 
-    def node(current: list[int], candidates: int):
+    def barred(width: int) -> int:
+        out = 0
         for sigma in sums[t - 1]:
-            candidates &= ~((tsums >> sigma) | (tsums << (N - sigma)))
-        return admit, candidates
+            out |= tsums >> sigma
+            if sigma + width > N:  # y + sigma wraps for y >= N - sigma
+                out |= tsums << (N - sigma)
+        return out
 
     def admit(y: int):
         nonlocal tsums
         # The sums y + sigma are distinct, as the (t-1)-sums are, and the
-        # node's rotations left none of them stored.
+        # rotations left none of them stored.
         fresh = {(y + sigma) % N for sigma in sums[t - 1]}
         for j in range(2, t + 1):
             jy = j * y
@@ -226,7 +256,7 @@ def search_bt_set(N: int, t: int, target_size: int) -> tuple[BtSet, bool]:
         for s in range(t - 1, 0, -1):  # downwards: sums[s - j] is still old
             sums[s].extend((j * y + sigma) % N for j in range(1, s + 1) for sigma in sums[s - j])
         old = tsums
-        tsums |= _bits(N, fresh)
+        tsums |= _bits(max(fresh) + 1, fresh)
 
         def undo() -> None:
             nonlocal tsums
@@ -236,7 +266,7 @@ def search_bt_set(N: int, t: int, target_size: int) -> tuple[BtSet, bool]:
 
         return undo
 
-    found, reached = _backtrack(N, target_size, lambda size: comb(size + t - 1, t), node)
+    found, reached = _backtrack(N, target_size, lambda size: comb(size + t - 1, t), barred, admit)
     ok, witness = is_bt_set(found, N, t)
     if not ok:
         raise OracleDisagreement(
@@ -363,10 +393,10 @@ def _sidon_relations(k: int) -> list[tuple[int, tuple[int, ...]]]:
 
 def _sidon_blocked(
     accepted: Sequence[int], N: int, relations: Sequence[tuple[int, tuple[int, ...]]]
-) -> int:
+) -> list[int]:
     """The residues ``y`` that ``accepted[-1]`` newly bars from extending the
-    k-fold Sidon set ``accepted``, as an N-bit int: those where ``s y`` is a
-    value ``-sum(c x)`` of a relation ``(s, others)`` of
+    k-fold Sidon set ``accepted``, possibly repeated: those where ``s y`` is
+    a value ``-sum(c x)`` of a relation ``(s, others)`` of
     :func:`_sidon_relations`, over elements ``x`` of ``accepted`` at least one
     of which is ``accepted[-1]``.  The union over the prefixes of
     ``accepted`` bars exactly the residues outside it that fail.
@@ -384,36 +414,59 @@ def _sidon_blocked(
             for d in rest:
                 part = {(v - d * x) % N for v in part for x in accepted}
             found |= part
-    blocked = 0
+    blocked: list[int] = []
     for s, found in values.items():
         g = gcd(s, N)
         step = N // g  # s y == v has the g solutions y0 + i step when g | v
         inverse = pow(s // g, -1, step)
-        roots = _bits(step, [v // g * inverse % step for v in found if v % g == 0])
-        for i in range(g):
-            blocked |= roots << i * step
+        for v in found:
+            if v % g == 0:
+                blocked.extend(range(v // g * inverse % step, N, step))
     return blocked
-
-
-def _no_undo() -> None:
-    pass
 
 
 def search_kfold_sidon(N: int, k: int, target_size: int) -> tuple[SidonParams, bool]:
     """Deterministic backtracking over Z_N in increasing order, extending while
     the k-fold Sidon property holds; each node drops the residues its set
-    blocks from its candidates, so every candidate left is accepted."""
+    bars from its candidates, so every candidate left is accepted."""
     _require_positive(N=N, k=k, target_size=target_size)
     if gcd(N, factorial(k)) != 1:
         raise DomainError("N must be coprime to k!")
     relations = _sidon_relations(k)
+    accepted: list[int] = []
+    # levels[i]: the residues accepted[i] newly bars.  masks[i]: a width and
+    # the bit mask of the residues below it that levels[: i + 1] bar.
+    # barred() fills in the newest of each, so a node the bound cuts off
+    # computes neither.
+    levels: list[list[int]] = []
+    masks: list[tuple[int, int]] = []
 
-    def node(current: list[int], candidates: int):
-        if current:
-            candidates &= ~_sidon_blocked(current, N, relations)
-        return lambda y: _no_undo, candidates
+    def barred(width: int) -> int:
+        depth = len(accepted)
+        if not depth:
+            return 0
+        if len(levels) < depth:
+            levels.append(_sidon_blocked(accepted, N, relations))
+        del masks[depth - 1 :]
+        if masks and masks[-1][0] == width:  # the parent's window
+            mask = masks[-1][1] | _bits(width, [y for y in levels[-1] if y < width])
+        else:
+            mask = _bits(width, [y for level in levels for y in level if y < width])
+        masks.append((width, mask))
+        return mask
 
-    found, reached = _backtrack(N, target_size, lambda size: size**4 * (2 * k + 1) ** 3, node)
+    def admit(y: int):
+        accepted.append(y)
+        return undo
+
+    def undo() -> None:
+        del levels[len(accepted) - 1 :]
+        del masks[len(accepted) - 1 :]
+        accepted.pop()
+
+    found, reached = _backtrack(
+        N, target_size, lambda size: size**4 * (2 * k + 1) ** 3, barred, admit
+    )
     ok, witness = is_kfold_sidon(found, N, k)
     if not ok:
         raise OracleDisagreement(

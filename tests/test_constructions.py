@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd, log
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -37,6 +39,7 @@ from magball import (
     verify_covering_geometric,
     verify_packing_geometric,
 )
+from magball import constructions
 from magball.cli import main
 from magball.constructions import (
     LinearCode,
@@ -224,19 +227,31 @@ def _sidon_moduli(k: int, top: int):
 def _assert_blocked_matches_full_check(accepted: list[int], N: int, k: int) -> None:
     """What each element of ``accepted`` newly bars, over the prefixes, is
     exactly the residues outside it that fail the full check."""
-    blocked = 0
+    blocked = set()
     for i in range(len(accepted)):
-        blocked |= _sidon_blocked(accepted[: i + 1], N, _sidon_relations(k))
-    assert blocked >> N == 0
+        blocked.update(_sidon_blocked(accepted[: i + 1], N, _sidon_relations(k)))
+    assert blocked <= set(range(N))
     for y in set(range(N)) - set(accepted):
-        assert (blocked >> y & 1) != is_kfold_sidon(accepted + [y], N, k)[0]
+        assert (y in blocked) != is_kfold_sidon(accepted + [y], N, k)[0]
+
+
+# The first window the searches filter past the root.  Every modulus the
+# reference tests draw fits in the default one, so they also run with small
+# windows, where nodes count the residues past theirs as candidates and
+# widen on demand.
+_windows = st.sampled_from([1, 2, 5, constructions._WINDOW])
+
+
+def _window(size: int):
+    return mock.patch.object(constructions, "_WINDOW", size)
 
 
 class TestIncrementalSearch:
-    """The searches start at 0 alone, draw candidates from bit masks and skip
-    subtrees that cannot outgrow the best set; the unpruned references walk
-    every root and candidate, and the ``_by_recheck`` references re-run the
-    full checker on every candidate set."""
+    """The searches start at 0 alone, draw candidates from bit masks over a
+    window of residues and skip subtrees that cannot outgrow the best set;
+    the unpruned references walk every root and candidate, and the
+    ``_by_recheck`` references re-run the full checker on every candidate
+    set."""
 
     @pytest.mark.parametrize(
         "search, args, elements, reached",
@@ -263,11 +278,12 @@ class TestIncrementalSearch:
     # _by_recheck references already beyond B_2 sets of 6 at N = 26 and Sidon
     # sets of 4; each is diffed where it takes well under a second.
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 44), st.sampled_from([1, 2, 3]), st.integers(1, 8))
-    def test_bt_search_matches_reference(self, N, t, target):
+    @given(st.integers(1, 44), st.sampled_from([1, 2, 3]), st.integers(1, 8), _windows)
+    def test_bt_search_matches_reference(self, N, t, target, window):
         assume(t != 2 or target <= 6 or N <= 30)
         assume(t != 3 or target <= 4 or N <= 40)
-        found, reached = search_bt_set(N, t, target)
+        with _window(window):
+            found, reached = search_bt_set(N, t, target)
         ref, ref_reached = search_bt_set_unpruned(N, t, target)
         assert (found.elements, reached) == (ref.elements, ref_reached)
         if (t != 2 or target <= 5 or N <= 26) and target <= 7:
@@ -281,7 +297,8 @@ class TestIncrementalSearch:
         N = data.draw(_sidon_moduli(k, 61))
         target = data.draw(st.integers(1, 6))
         assume(target <= {1: 5, 2: 3, 3: 3}[k] or N <= {1: 23, 2: 23, 3: 25}[k])
-        found, reached = search_kfold_sidon(N, k, target)
+        with _window(data.draw(_windows, label="window")):
+            found, reached = search_kfold_sidon(N, k, target)
         ref, ref_reached = search_kfold_sidon_unpruned(N, k, target)
         assert (found.elements, reached) == (ref.elements, ref_reached)
         if target <= (4 if k == 1 else 3):
@@ -308,9 +325,10 @@ class TestIncrementalSearch:
         target = data.draw(st.integers(1, 6 if searches[0] is search_bt_set else 4))
         size = data.draw(st.integers(1, target), label="size")
         limit = workload(size) - data.draw(st.integers(0, 1), label="below")
+        window = data.draw(_windows, label="window")
 
         def run(search):
-            with limits_overridden(enumeration=limit):
+            with limits_overridden(enumeration=limit), _window(window):
                 try:
                     found, reached = search(N, param, target)
                 except ResourceLimitError as exc:
@@ -332,6 +350,37 @@ class TestIncrementalSearch:
             assert (found.elements, reached) == ((0, 1, 4, 14, 16), False)
             with pytest.raises(ResourceLimitError, match="enumeration workload 21 exceeds"):
                 search_bt_set_unpruned(21, 2, 6)
+
+    # Each is reached within a few candidates of 0, so no node widens its
+    # window past 256 residues and no mask outgrows a few words, while one
+    # bit per residue of Z_N would take 1.25 MB.
+    @pytest.mark.parametrize(
+        "search, args, elements",
+        [
+            (search_bt_set, (10000019, 2, 8), (0, 1, 3, 7, 12, 20, 30, 44)),
+            (search_bt_set, (10000019, 3, 7), (0, 1, 4, 13, 32, 71, 124)),
+            (search_kfold_sidon, (10000019, 1, 6), (0, 1, 3, 7, 12, 20)),
+            (search_kfold_sidon, (10000019, 2, 6), (0, 1, 4, 11, 27, 39)),
+        ],
+    )
+    def test_reachable_search_stays_in_its_window(self, search, args, elements):
+        tracemalloc.start()
+        try:
+            with limits_overridden(group_order=256):
+                found, reached = search(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (found.elements, reached) == (elements, True)
+        assert peak < 1 << 17
+
+    def test_window_past_the_group_order_limit_raises(self):
+        # The first B_2 set of 60 ends at 7546, so the window doubles past
+        # the limit of 4096 residues before it is found.
+        assert search_bt_set(10000019, 2, 60)[0].elements[-1] == 7546
+        with limits_overridden(group_order=4096):
+            with pytest.raises(ResourceLimitError, match="group_order workload 8192 exceeds limit 4096"):
+                search_bt_set(10000019, 2, 60)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
