@@ -271,6 +271,16 @@ def _load_artifact(args) -> tuple[SplitterSet | LatticeBasis, BallSpec]:
     return _load(args.lattice, LatticeBasis.from_json), ball
 
 
+def _checks(kind: str) -> tuple[Callable, Callable]:
+    """The splitting checker and the geometric oracle of a packing or
+    covering claim.  The table is read at call time, so wrappers installed
+    over this module's names (``perfbench/tracer.py``) are the ones called."""
+    return {
+        "packing": (check_partial_split, verify_packing_geometric),
+        "covering": (check_complete_split, verify_covering_geometric),
+    }[kind]
+
+
 def cmd_verify(args) -> int:
     artifact, ball = _load_artifact(args)
     splitter = artifact if isinstance(artifact, SplitterSet) else None
@@ -286,13 +296,12 @@ def cmd_verify(args) -> int:
 
     split_ok = None
     basis = artifact
+    checker, oracle = _checks(args.kind)
     if splitter is not None:
-        checker = check_partial_split if args.kind == "packing" else check_complete_split
         split = checker(splitter)
         report["splitting"] = split.to_json()
         split_ok = split.verified
         basis = kernel_lattice(splitter)
-    oracle = verify_packing_geometric if args.kind == "packing" else verify_covering_geometric
     geo = oracle(basis, ball)
     report["geometric"] = geo.to_json()
     report["volume"] = str(basis.volume)
@@ -387,10 +396,9 @@ def _table_verdict(kind: str, artifact, ball: BallSpec, extras: dict) -> str:
     oracle's on a lattice, and the multiplicity of a lambda-packing."""
     if kind == "lambda-packing":
         return f"lambda={extras['report']['lambda']}"
+    checker, oracle = _checks(kind)
     if isinstance(artifact, SplitterSet):
-        checker = check_partial_split if kind == "packing" else check_complete_split
         return checker(artifact).verdict
-    oracle = verify_packing_geometric if kind == "packing" else verify_covering_geometric
     return oracle(artifact, ball).verdict
 
 

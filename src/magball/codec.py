@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .algebra import FieldSpec, GroupSpec, _log_add, _log_mul, _poly_from_roots, _subfield_tables
+from .algebra import FieldSpec, _log_add, _log_mul, _poly_from_roots, _subfield_tables
 from .ball import BallSpec, ball_images, ball_size
 from .constructions import LinearCode, S2Data
 from .errors import DomainError
 from .limits import check
-from .splitting import MagnitudeSet, SplitterSet
 
 
 class OpCounter:
@@ -89,15 +88,6 @@ class S2DecoderContext:
     @classmethod
     def from_s2(cls, data: S2Data) -> "S2DecoderContext":
         return cls(data.q, data.t, data.N, data.field, data.alphas, data.svals, data.betas)
-
-    def splitter_set(self) -> SplitterSet:
-        group = GroupSpec((self.N,))
-        return SplitterSet(
-            group,
-            tuple(group.element((s,)) for s in self.svals),
-            MagnitudeSet(1, 0),
-            self.t,
-        )
 
     def to_json(self) -> dict:
         f = self.field

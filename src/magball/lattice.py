@@ -1,17 +1,18 @@
 """Integer lattice machinery: kernel lattices of maps onto finite Abelian
-groups, Hermite and Smith normal forms, and geometric packing/covering oracles.
+groups, Hermite normal forms, and geometric packing/covering oracles.
 
 Every lattice the package builds is the kernel of a map ``Z^n -> G`` read
 off one subgroup-chain walk: a splitter's residues into its group, or the
 columns of a parity-check matrix into ``Z_p^(n-k)``.
 
 Both geometric oracles label each ball point by its coset of ``Z^n / L``,
-read off the Smith form of the basis: the ball packs iff the labels are
+read off the Hermite rows of the basis: back-substituting the unit rows
+leaves the cosets as ``Z^P`` modulo a triangular relation matrix on the
+positions ``P`` whose pivot exceeds 1.  The ball packs iff the labels are
 distinct and covers iff they reach all ``vol(L)`` cosets.  They walk the
 ball as the splitting checkers do (:func:`~magball.ball.ball_images`), but
-their labels come from the lattice's Smith form, not from group images, so
-the two act as mutual cross-checks.  All arithmetic is exact.
-"""
+their labels come from the basis alone, not from group images, so the two
+act as mutual cross-checks.  All arithmetic is exact."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+from operator import mod, mul
 from typing import Sequence
 
 from .ball import BallSpec, ball_images, ball_size
@@ -89,99 +91,6 @@ def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix
         pivots.append((r, c))
         r += 1
     return M, U, pivots
-
-
-def _snf_full(
-    matrix: Sequence[Sequence[int]],
-) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """Smith normal form ``(U, D, V, Vinv)``: ``U @ A @ V == D`` diagonal with
-    the diagonal a divisibility chain, ``U`` and ``V`` unimodular, and the
-    inverse of ``V`` tracked alongside."""
-    D = [list(map(int, row)) for row in matrix]
-    rows = len(D)
-    cols = len(D[0]) if rows else 0
-    if any(len(r) != cols for r in D):
-        raise DomainError("ragged matrix")
-    U = _identity(rows)
-    V, Vinv = _identity(cols), _identity(cols)
-
-    def row_op(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j
-        _row_sub(D, i, j, q)
-        _row_sub(U, i, j, q)
-
-    def col_op(i: int, j: int, q: int) -> None:
-        # col_i -= q * col_j
-        if q:
-            for r in range(rows):
-                D[r][i] -= q * D[r][j]
-            for r in range(cols):
-                V[r][i] -= q * V[r][j]
-            for c in range(cols):
-                Vinv[j][c] += q * Vinv[i][c]
-
-    def row_swap(i: int, j: int) -> None:
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in range(rows):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def row_negate(i: int) -> None:
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
-
-    k = 0
-    while k < min(rows, cols):
-        # Locate the smallest-magnitude nonzero entry in the trailing block.
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        row_swap(k, best[0])
-        col_swap(k, best[1])
-        while True:
-            # Clear column k, then row k, restarting when a remainder pops up.
-            dirty = False
-            for i in range(k + 1, rows):
-                if D[i][k]:
-                    q = D[i][k] // D[k][k]
-                    row_op(i, k, q)
-                    if D[i][k]:
-                        row_swap(k, i)
-                        dirty = True
-            for j in range(k + 1, cols):
-                if D[k][j]:
-                    q = D[k][j] // D[k][k]
-                    col_op(j, k, q)
-                    if D[k][j]:
-                        col_swap(k, j)
-                        dirty = True
-            if dirty:
-                continue
-            # Enforce divisibility: the pivot must divide the trailing block.
-            offender = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if D[i][j] % D[k][k] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(k, offender, -1)  # add offending row into the pivot row
-        if D[k][k] < 0:
-            row_negate(k)
-        k += 1
-    return U, D, V, Vinv
 
 
 @dataclass(frozen=True)
@@ -338,30 +247,65 @@ class GeometricReport:
         return {"verdict": self.verdict, "witness": witness}
 
 
-def _smith_coordinates(basis: LatticeBasis, ball: BallSpec):
-    """Coset labels of ``Z^n / basis`` from its Smith form ``U B V = D``:
-    ``x`` and ``y`` are congruent iff ``x V`` and ``y V`` agree modulo the
-    diagonal.  Unit invariants always give 0, so only the non-unit ones,
-    ``mods``, are kept.  Returns ``(rows, mods, inverse)``: a ball point's
-    label is its :func:`ball_images` image under ``rows`` and ``mods``, and
-    ``cand @ inverse`` represents the coset labelled ``cand``."""
+def _hermite_labels(basis: LatticeBasis, ball: BallSpec):
+    """Coset labels of ``Z^n / basis`` read off its Hermite rows ``h``.
+
+    Let ``P`` be the positions whose pivot ``h_pp`` exceeds 1.  From the
+    right, a unit row sends ``e_i`` to ``phi(e_i) = -sum_{j>i} h_ij phi(e_j)``
+    and ``phi(e_p) = e_p`` for ``p`` in ``P``, so ``phi`` maps ``Z^n`` onto
+    ``Z^P`` and the rows at ``P`` onto an upper-triangular relation matrix
+    with the pivots on its diagonal: ``Z^n / basis == Z^P / relations``.
+    ``V Z^P`` lies in the relations' span, so the walk reduces ``phi`` modulo
+    the volume ``V``; reducing each image from the left against the relation
+    rows then gives the one label with ``0 <= y_k < h_pp``.  Returns
+    ``(P, pivots, walk)``: ``walk`` yields ``(support, values, label)`` for
+    every ball point in :func:`ball_images` order, and the vector holding a
+    label at ``P`` represents its coset."""
     if ball.n != basis.n:
         raise DomainError(f"ball n = {ball.n} != lattice n = {basis.n}")
     check("enumeration", ball_size(ball))
-    _, D, V, Vinv = _snf_full([list(r) for r in basis.rows])
-    keep = [c for c in range(basis.n) if D[c][c] != 1]
-    rows = [[V[i][c] for c in keep] for i in range(basis.n)]
-    return rows, [D[c][c] for c in keep], [Vinv[c] for c in keep]
+    n, h, V = basis.n, basis.rows, basis.volume
+    tail = [p for p in range(n) if h[p][p] > 1]
+    pivots = [h[p][p] for p in tail]
+    cols = [[0] * n for _ in tail]  # cols[k][j]: entry k of phi(e_j), modulo V
+    reducers = []  # (k, h_pp, nonzero off-diagonal entries of relation row k)
+    for i in reversed(range(n)):
+        # sum_{j>i} h_ij phi(e_j): each cols[k][i] is still 0 here.
+        tail_sum = [sum(map(mul, h[i], col)) % V for col in cols]
+        if h[i][i] == 1:
+            for col, x in zip(cols, tail_sum):
+                col[i] = -x % V
+            continue
+        k = tail.index(i)
+        cols[k][i] = 1
+        off = [(c, tail_sum[c]) for c in range(k + 1, len(tail)) if tail_sum[c]]
+        if off:
+            reducers.insert(0, (k, h[i][i], off))
+
+    rows = [tuple(col[j] for col in cols) for j in range(n)]
+    if not reducers:  # diagonal relations: the walk's images are the labels
+        return tail, pivots, ball_images(ball, rows, pivots)
+
+    def label(y):
+        y = list(y)
+        for k, d, off in reducers:
+            q = y[k] // d
+            if q:
+                for c, x in off:
+                    y[c] -= q * x
+        return tuple(map(mod, y, pivots))
+
+    images = ball_images(ball, rows, [V] * len(tail))
+    return tail, pivots, ((support, values, label(y)) for support, values, y in images)
 
 
 def verify_packing_geometric(basis: LatticeBasis, ball: BallSpec) -> GeometricReport:
     """The ball's translates are disjoint iff its points lie in distinct
     cosets.  Witness: the first point ``b_i`` (in :func:`enumerate_ball`
     order) whose coset holds a later point, with the first such ``b_j``."""
-    rows, mods, _ = _smith_coordinates(basis, ball)
     first: dict[tuple[int, ...], tuple] = {}
     witness = None
-    for j, (support, values, label) in enumerate(ball_images(ball, rows, mods)):
+    for j, (support, values, label) in enumerate(_hermite_labels(basis, ball)[2]):
         i, i_support, i_values = first.setdefault(label, (j, support, values))
         if i < j and (witness is None or i < witness[0]):
             witness = (i, ball.vector(i_support, i_values), ball.vector(support, values))
@@ -371,19 +315,17 @@ def verify_packing_geometric(basis: LatticeBasis, ball: BallSpec) -> GeometricRe
 
 
 def verify_covering_geometric(basis: LatticeBasis, ball: BallSpec) -> GeometricReport:
-    """Every coset must hold a ball point; the witness represents the first
-    uncovered coset label in lexicographic order."""
+    """Every coset must hold a ball point.  Witness: the first uncovered
+    label in lexicographic order of ``prod [0, h_pp)``, placed at the
+    positions ``p`` whose pivot ``h_pp`` exceeds 1."""
     check("cosets", basis.volume)
-    rows, mods, inverse = _smith_coordinates(basis, ball)
-    covered = {label for _, _, label in ball_images(ball, rows, mods)}
+    tail, pivots, walk = _hermite_labels(basis, ball)
+    covered = {label for _, _, label in walk}
     if len(covered) == basis.volume:
         return GeometricReport("verified")
-    for cand in product(*(range(d) for d in mods)):
+    for cand in product(*(range(d) for d in pivots)):
         if cand not in covered:
-            rep = tuple(
-                sum(x * row[c] for x, row in zip(cand, inverse)) for c in range(basis.n)
-            )
-            return GeometricReport("refuted", witness=rep)
+            return GeometricReport("refuted", witness=ball.vector(tail, cand))
     raise AssertionError("unreachable: count mismatch without an uncovered coset")
 
 

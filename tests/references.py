@@ -10,7 +10,10 @@ same numbers: the subgroup order by breadth-first closure, and by the Smith
 form of the relation matrix.  The same walk over the columns of ``H`` builds
 the code lattice (:func:`magball.code_lattice`); the reference takes the
 Hermite form of the generator rows stacked on ``p I``.  Determinants come
-from the Hermite pivots.
+from the Hermite pivots.  The Smith form lives here only: the package's
+geometric oracles read their coset labels off the Hermite rows, and the
+covering reference finds its witness by lattice membership against every
+ball point instead.
 
 The package's B_t and k-fold Sidon searches prune: the root tries 0 alone,
 candidates are bit masks filtered at each node, and a subtree that cannot
@@ -46,15 +49,28 @@ from magball import (
     GroupElement,
     GroupSpec,
     LinearCode,
+    MagnitudeSet,
     S2Data,
+    S2DecoderContext,
     SidonParams,
+    SplitterSet,
     ball_size,
+    enumerate_ball,
     is_bt_set,
     is_kfold_sidon,
 )
 from magball.codec import OpCounter
 from magball.constructions import _sidon_relations
-from magball.lattice import LatticeBasis, _snf_full, basis_from_rows, hermite_normal_form
+from magball.lattice import (
+    GeometricReport,
+    LatticeBasis,
+    Matrix,
+    _identity,
+    _row_sub,
+    basis_from_rows,
+    hermite_normal_form,
+    lattice_contains,
+)
 from magball.limits import check
 
 FieldElement = tuple[int, ...]
@@ -107,6 +123,99 @@ def subgroup_order(group: GroupSpec, gens: Sequence[GroupElement]) -> int:
     return len(seen)
 
 
+def _snf_full(
+    matrix: Sequence[Sequence[int]],
+) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """Smith normal form ``(U, D, V, Vinv)``: ``U @ A @ V == D`` diagonal with
+    the diagonal a divisibility chain, ``U`` and ``V`` unimodular, and the
+    inverse of ``V`` tracked alongside."""
+    D = [list(map(int, row)) for row in matrix]
+    rows = len(D)
+    cols = len(D[0]) if rows else 0
+    if any(len(r) != cols for r in D):
+        raise DomainError("ragged matrix")
+    U = _identity(rows)
+    V, Vinv = _identity(cols), _identity(cols)
+
+    def row_op(i: int, j: int, q: int) -> None:
+        # row_i -= q * row_j
+        _row_sub(D, i, j, q)
+        _row_sub(U, i, j, q)
+
+    def col_op(i: int, j: int, q: int) -> None:
+        # col_i -= q * col_j
+        if q:
+            for r in range(rows):
+                D[r][i] -= q * D[r][j]
+            for r in range(cols):
+                V[r][i] -= q * V[r][j]
+            for c in range(cols):
+                Vinv[j][c] += q * Vinv[i][c]
+
+    def row_swap(i: int, j: int) -> None:
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i: int, j: int) -> None:
+        for r in range(rows):
+            D[r][i], D[r][j] = D[r][j], D[r][i]
+        for r in range(cols):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def row_negate(i: int) -> None:
+        D[i] = [-x for x in D[i]]
+        U[i] = [-x for x in U[i]]
+
+    k = 0
+    while k < min(rows, cols):
+        # Locate the smallest-magnitude nonzero entry in the trailing block.
+        best = None
+        for i in range(k, rows):
+            for j in range(k, cols):
+                if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        row_swap(k, best[0])
+        col_swap(k, best[1])
+        while True:
+            # Clear column k, then row k, restarting when a remainder pops up.
+            dirty = False
+            for i in range(k + 1, rows):
+                if D[i][k]:
+                    q = D[i][k] // D[k][k]
+                    row_op(i, k, q)
+                    if D[i][k]:
+                        row_swap(k, i)
+                        dirty = True
+            for j in range(k + 1, cols):
+                if D[k][j]:
+                    q = D[k][j] // D[k][k]
+                    col_op(j, k, q)
+                    if D[k][j]:
+                        col_swap(k, j)
+                        dirty = True
+            if dirty:
+                continue
+            # Enforce divisibility: the pivot must divide the trailing block.
+            offender = None
+            for i in range(k + 1, rows):
+                for j in range(k + 1, cols):
+                    if D[i][j] % D[k][k] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(k, offender, -1)  # add offending row into the pivot row
+        if D[k][k] < 0:
+            row_negate(k)
+        k += 1
+    return U, D, V, Vinv
+
+
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
     """Smith normal form ``(U, D, V)`` with ``U @ A @ V == D`` diagonal,
     ``U`` and ``V`` unimodular, and the diagonal a divisibility chain."""
@@ -131,6 +240,29 @@ def code_lattice_by_hnf(code: LinearCode) -> LatticeBasis:
     rows = [list(r) for r in code.generator]
     rows.extend([p if i == j else 0 for j in range(n)] for i in range(n))
     return basis_from_rows(rows, n)
+
+
+def covering_by_membership(basis: LatticeBasis, ball: BallSpec) -> GeometricReport:
+    """The covering oracle's witness rule by brute force: try every label in
+    lexicographic order of ``prod [0, h_pp)``, placed at the positions ``p``
+    whose pivot ``h_pp`` exceeds 1, and test it against every ball point by
+    lattice membership.  The first label no ball point reaches is the witness."""
+    tail = [p for p in range(basis.n) if basis.rows[p][p] > 1]
+    points = list(enumerate_ball(ball))
+    for cand in product(*(range(basis.rows[p][p]) for p in tail)):
+        rep = ball.vector(tail, cand)
+        if not any(lattice_contains(basis, [x - y for x, y in zip(rep, b)]) for b in points):
+            return GeometricReport("refuted", witness=rep)
+    return GeometricReport("verified")
+
+
+def s2_splitter_set(ctx: S2DecoderContext) -> SplitterSet:
+    """The B_t-set splitter ``{s_i} in Z_N`` whose kernel lattice an S2
+    decoder context decodes."""
+    group = GroupSpec((ctx.N,))
+    return SplitterSet(
+        group, tuple(group.element((s,)) for s in ctx.svals), MagnitudeSet(1, 0), ctx.t
+    )
 
 
 def relation_matrix(group: GroupSpec, elements: Sequence[GroupElement]) -> list[list[int]]:

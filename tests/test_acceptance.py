@@ -42,7 +42,7 @@ from magball import (
     verify_packing_geometric,
 )
 from magball.constructions import min_distance
-from references import subgroup_order
+from references import s2_splitter_set, subgroup_order
 
 
 def _announce(number: int, message: str) -> None:
@@ -177,7 +177,7 @@ def test_criterion_6_covering_product():
 def test_criterion_7_decoder_round_trips():
     started = time.perf_counter()
     ctx = S2DecoderContext.from_s2(bose_chowla_s2(4, 2))
-    basis = kernel_lattice(ctx.splitter_set())
+    basis = kernel_lattice(s2_splitter_set(ctx))
     patterns = _binary_patterns(4, 2)
     assert len(patterns) == 11
     successes = 0
@@ -209,7 +209,7 @@ def test_criterion_8_decoder_complexity_fit():
     averages = {}
     for q in (4, 8, 16):
         ctx = S2DecoderContext.from_s2(bose_chowla_s2(q, 2))
-        basis = kernel_lattice(ctx.splitter_set())
+        basis = kernel_lattice(s2_splitter_set(ctx))
         patterns = _binary_patterns(q, 2)
         total = count = 0
         for x in _lattice_points(basis, 40, seed=31, spread=10):

@@ -26,7 +26,13 @@ from magball import (
 )
 from magball.errors import ResourceLimitError
 from magball.limits import limits_overridden
-from references import TupleField, decode_s2_by_tuples, min_poly_by_tuples, syndrome
+from references import (
+    TupleField,
+    decode_s2_by_tuples,
+    min_poly_by_tuples,
+    s2_splitter_set,
+    syndrome,
+)
 
 
 def _binary_patterns(n, t):
@@ -109,7 +115,7 @@ class TestS2Decoder:
         assert result.status == "ok" and result.positions == (0,)
 
     def test_round_trip_from_seeded_lattice_points(self, s2_ctx):
-        basis = kernel_lattice(s2_ctx.splitter_set())
+        basis = kernel_lattice(s2_splitter_set(s2_ctx))
         patterns = _binary_patterns(4, 2)
         for x in _lattice_points(basis, 100, seed=5):
             for e in patterns:
@@ -118,7 +124,7 @@ class TestS2Decoder:
                 assert result.status == "ok" and result.codeword == x
 
     def test_beyond_radius_fails_or_miscorrects_into_lattice(self, s2_ctx):
-        basis = kernel_lattice(s2_ctx.splitter_set())
+        basis = kernel_lattice(s2_splitter_set(s2_ctx))
         for support in combinations(range(4), 3):
             v = [0] * 4
             for p in support:
@@ -141,7 +147,7 @@ class TestS2Decoder:
         averages = {}
         for q in (4, 8, 16):
             ctx = S2DecoderContext.from_s2(bose_chowla_s2(q, 2))
-            basis = kernel_lattice(ctx.splitter_set())
+            basis = kernel_lattice(s2_splitter_set(ctx))
             patterns = _binary_patterns(q, 2)
             total = count = 0
             for x in _lattice_points(basis, 20, seed=11, spread=10):

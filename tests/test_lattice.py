@@ -2,6 +2,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,14 +36,16 @@ from magball import (
     verify_packing_geometric,
 )
 from magball.errors import DomainError, ResourceLimitError
-from magball.lattice import (
-    GeometricReport,
-    _snf_full,
-    basis_from_rows,
-    hermite_normal_form,
-)
+from magball.lattice import GeometricReport, basis_from_rows, hermite_normal_form
 from magball.limits import limits_overridden
-from references import det_from_hnf, relation_matrix, smith_normal_form, subgroup_order
+from references import (
+    _snf_full,
+    covering_by_membership,
+    det_from_hnf,
+    relation_matrix,
+    smith_normal_form,
+    subgroup_order,
+)
 
 
 def _splitter(moduli, elements, kplus, kminus, t):
@@ -349,7 +352,7 @@ class TestGeometricOracles:
                 verify_covering_geometric(basis, ball)
 
 
-# --- slow references for the Smith-label oracles ---
+# --- slow references for the Hermite-label oracles ---
 
 
 def _pair_scan_packing(basis, ball):
@@ -388,13 +391,26 @@ def _balls(draw, n):
 
 
 @st.composite
-def _hnf_bases(draw):
+def _triangular_rows(draw):
     n = draw(st.integers(1, 4))
-    rows = [
+    return [
         [0] * i + [draw(st.integers(1, 6))] + [draw(st.integers(-6, 6)) for _ in range(n - i - 1)]
         for i in range(n)
     ]
-    return basis_from_rows(rows, n)
+
+
+@st.composite
+def _hnf_bases(draw):
+    rows = draw(_triangular_rows())
+    return basis_from_rows(rows, len(rows))
+
+
+@st.composite
+def _unreduced_bases(draw):
+    """Upper-triangular bases built directly, so the entries above each
+    pivot, unit ones included, stay as drawn."""
+    rows = draw(_triangular_rows())
+    return LatticeBasis(len(rows), tuple(map(tuple, rows)), prod(r[i] for i, r in enumerate(rows)))
 
 
 @st.composite
@@ -413,14 +429,21 @@ def _splitters(draw):
     return SplitterSet(g, tuple(g.element(r) for r in residues), mags, t)
 
 
-class TestSmithLabelsAgainstReferences:
+def _assert_covering_matches_references(basis, ball):
+    covering = verify_covering_geometric(basis, ball)
+    assert covering.to_json() == covering_by_membership(basis, ball).to_json()
+    assert covering.verified == _full_width_covering(basis, ball).verified
+
+
+class TestHermiteLabelsAgainstReferences:
+    @pytest.mark.parametrize("bases", [_hnf_bases, _unreduced_bases], ids=["hnf", "unreduced"])
     @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_random_hnf_bases(self, data):
-        basis = data.draw(_hnf_bases())
+    @given(data=st.data())
+    def test_random_bases(self, bases, data):
+        basis = data.draw(bases())
         ball = data.draw(_balls(basis.n))
         assert verify_packing_geometric(basis, ball).to_json() == _pair_scan_packing(basis, ball).to_json()
-        assert verify_covering_geometric(basis, ball).to_json() == _full_width_covering(basis, ball).to_json()
+        _assert_covering_matches_references(basis, ball)
 
     @settings(max_examples=80, deadline=None)
     @given(_splitters())
@@ -429,7 +452,15 @@ class TestSmithLabelsAgainstReferences:
         packing = verify_packing_geometric(basis, ball)
         assert packing.to_json() == _pair_scan_packing(basis, ball).to_json()
         assert packing.verified == check_partial_split(s).verified
-        assert verify_covering_geometric(basis, ball).to_json() == _full_width_covering(basis, ball).to_json()
+        _assert_covering_matches_references(basis, ball)
+
+    def test_bose_chowla_q256_kernel_packs(self):
+        # n = 255 with one pivot of 65,535: every other row is a unit row.
+        s = _FAMILY_SPLITTERS["bc10-q256"]()
+        basis = kernel_lattice(s)
+        assert [r[i] for i, r in enumerate(basis.rows) if r[i] > 1] == [65535]
+        assert verify_packing_geometric(basis, s.ball()).verified
+        assert check_partial_split(s).verified
 
 
 class TestDensity:
