@@ -3,7 +3,6 @@ balls over Z^n."""
 
 from .algebra import (
     FieldSpec,
-    GroupElement,
     GroupSpec,
     find_primitive_polynomial,
     group_add,

@@ -19,18 +19,19 @@ from itertools import product
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, exact_int, exact_ints, is_int_list
 from .limits import check
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Finite Abelian group given by its list of cyclic moduli."""
+    """Finite Abelian group given by its list of cyclic moduli.  An element
+    is its tuple of residues, each reduced into ``[0, m_i)``."""
 
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
+        object.__setattr__(self, "moduli", tuple(self.moduli))
         if len(self.moduli) < 1:
             raise DomainError("a group needs at least one modulus")
         if any(m < 1 for m in self.moduli):
@@ -47,73 +48,42 @@ class GroupSpec:
             out *= m
         return out
 
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
+    def identity(self) -> tuple[int, ...]:
+        return (0,) * self.rank
 
-    def element(self, residues: Sequence[int]) -> "GroupElement":
-        """Build an element from a list or tuple of exact ints, reducing each
-        residue into ``[0, m_i)``."""
-        if not isinstance(residues, (list, tuple)) or not set(map(type, residues)) <= {int}:
-            raise DomainError(f"{residues!r} is not a list of integer residues")
+    def element(self, residues: Sequence[int]) -> tuple[int, ...]:
+        """The element of a list or tuple of exact ints, each residue reduced
+        into ``[0, m_i)``."""
+        residues = exact_ints(residues, "integer residues")
         if len(residues) != self.rank:
             raise DomainError(
                 f"expected {self.rank} residues, got {len(residues)}"
             )
-        return GroupElement(self, tuple(r % m for r, m in zip(residues, self.moduli)))
+        return tuple(r % m for r, m in zip(residues, self.moduli))
 
-    def elements(self) -> Iterator["GroupElement"]:
+    def elements(self) -> Iterator[tuple[int, ...]]:
         """All group elements in lexicographic residue order."""
-        for residues in product(*(range(m) for m in self.moduli)):
-            yield GroupElement(self, residues)
+        return product(*(range(m) for m in self.moduli))
 
     def to_json(self) -> list[int]:
         return list(self.moduli)
 
     @classmethod
     def from_json(cls, data: Sequence[int]) -> "GroupSpec":
-        return cls(tuple(data))
+        return cls(exact_ints(data, "group moduli"))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    spec: GroupSpec
-    residues: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "residues", tuple(int(r) for r in self.residues))
-        if len(self.residues) != self.spec.rank:
-            raise DomainError("residue count does not match the group rank")
-        if any(not 0 <= r < m for r, m in zip(self.residues, self.spec.moduli)):
-            raise DomainError(f"unreduced residues {list(self.residues)}")
-
-    def to_json(self) -> list[int]:
-        return list(self.residues)
+def group_add(group: GroupSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    return group.element([x + y for x, y in zip(group.element(a), group.element(b))])
 
 
-def _require_same_spec(a: GroupElement, b: GroupElement) -> None:
-    if a.spec != b.spec:
-        raise DomainError("elements belong to different groups")
+def group_neg(group: GroupSpec, a: Sequence[int]) -> tuple[int, ...]:
+    return group.element([-x for x in group.element(a)])
 
 
-def group_add(a: GroupElement, b: GroupElement) -> GroupElement:
-    _require_same_spec(a, b)
-    return GroupElement(
-        a.spec,
-        tuple((x + y) % m for x, y, m in zip(a.residues, b.residues, a.spec.moduli)),
-    )
-
-
-def group_neg(a: GroupElement) -> GroupElement:
-    return GroupElement(
-        a.spec, tuple((-x) % m for x, m in zip(a.residues, a.spec.moduli))
-    )
-
-
-def scalar_mul(c: int, a: GroupElement) -> GroupElement:
+def scalar_mul(group: GroupSpec, c: int, a: Sequence[int]) -> tuple[int, ...]:
     """``c * a`` for any integer ``c``; negatives reduce at the end."""
-    return GroupElement(
-        a.spec, tuple((c * x) % m for x, m in zip(a.residues, a.spec.moduli))
-    )
+    return group.element([c * x for x in group.element(a)])
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +144,7 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "modulus", tuple(int(c) for c in self.modulus))
+        object.__setattr__(self, "modulus", tuple(self.modulus))
         if not is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
         if self.m < 1 or len(self.modulus) != self.m + 1 or self.modulus[-1] != 1:
@@ -194,8 +164,7 @@ class FieldSpec:
     def pack(self, e: Sequence[int]) -> int:
         """``sum c_i p^i`` for an element given as a list or tuple of ``m``
         exact ints in ``[0, p)``; anything else raises DomainError."""
-        if not (isinstance(e, (list, tuple)) and len(e) == self.m
-                and set(map(type, e)) <= {int} and 0 <= min(e) and max(e) < self.p):
+        if not (is_int_list(e) and len(e) == self.m and 0 <= min(e) and max(e) < self.p):
             raise DomainError(f"{e!r} is not an element of F_{self.p}^{self.m}")
         return _pack(self.p, e)
 
@@ -214,7 +183,8 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldSpec":
-        return cls(int(data["p"]), int(data["m"]), tuple(data["modulus"]))
+        return cls(exact_int(data["p"], "p"), exact_int(data["m"], "m"),
+                   exact_ints(data["modulus"], "integers"))
 
 
 def _pack(p: int, digits: Sequence[int]) -> int:

@@ -8,7 +8,7 @@ from math import comb
 from operator import add, mod
 from typing import Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, exact_int
 from .limits import check
 
 
@@ -42,7 +42,7 @@ class BallSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "BallSpec":
-        return cls(int(data["n"]), int(data["t"]), int(data["kplus"]), int(data["kminus"]))
+        return cls(*(exact_int(data[key], key) for key in ("n", "t", "kplus", "kminus")))
 
 
 def ball_size(spec: BallSpec) -> int:

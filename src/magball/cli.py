@@ -38,7 +38,7 @@ from .constructions import (
     search_bt_set,
     search_kfold_sidon,
 )
-from .errors import DomainError, MagballError, OracleDisagreement
+from .errors import DomainError, MagballError, OracleDisagreement, exact_ints
 from .lattice import (
     LatticeBasis,
     kernel_lattice,
@@ -177,7 +177,7 @@ def _build_sidon(a) -> tuple:
 def _build_lambda(a) -> tuple:
     sample = sample_lambda_splitter(a.N, a.t, a.kplus, a.kminus, a.epsilon, a.seed)
     report = {
-        "lambda": sample.lambda_,
+        "lambda": sample.report.lambda_,
         "size": sample.splitter.n,
         "size_in_range": sample.size_in_range,
         "expected_size": f"{sample.expected_size:.6f}",
@@ -360,11 +360,8 @@ def cmd_decode(args) -> int:
             if not line:
                 continue
             try:
-                vec = json.loads(line)
-                # Exact types: no float, string or bool (an int subclass) passes.
-                if not isinstance(vec, list) or not set(map(type, vec)) <= {int}:
-                    raise ValueError("not a list of integers")
-            except ValueError as exc:
+                vec = exact_ints(json.loads(line), "integers")
+            except ValueError as exc:  # a DomainError is a ValueError
                 raise DomainError(f"bad input line {number} {line!r}: {exc}") from exc
             if len(vec) != length:
                 raise DomainError(f"vector length {len(vec)} != {length}")

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from .algebra import FieldSpec, _log_add, _log_mul, _poly_from_roots, _subfield_tables
 from .ball import BallSpec, ball_images, ball_size
 from .constructions import LinearCode, S2Data
-from .errors import DomainError
+from .errors import DomainError, exact_int, exact_ints
 from .limits import check
 
 
@@ -106,13 +106,13 @@ class S2DecoderContext:
     @classmethod
     def from_json(cls, data: dict) -> "S2DecoderContext":
         f = FieldSpec.from_json(data["field"])
-        q, t, N = int(data["q"]), int(data["t"]), int(data["N"])
+        q, t, N = (exact_int(data[key], key) for key in ("q", "t", "N"))
         alphas, betas = ([f.pack(e) for e in data[key]] for key in ("alphas", "betas"))
         log = _subfield(f, q, t, N)[0]
         for v in alphas + betas:
             if v not in log:
                 raise DomainError(f"{list(f.unpack(v))} lies outside the subfield of size {q}")
-        svals = tuple(int(s) for s in data["svals"])
+        svals = exact_ints(data["svals"], "integers")
         return cls(q, t, N, f, tuple(log[v] for v in alphas), svals, tuple(log[v] for v in betas))
 
 
@@ -313,9 +313,8 @@ class ModPDecoderContext:
 
     @classmethod
     def from_json(cls, data: dict) -> "ModPDecoderContext":
-        return cls.build(
-            LinearCode.from_json(data["code"]), int(data["kplus"]), int(data["kminus"])
-        )
+        kplus, kminus = (exact_int(data[key], key) for key in ("kplus", "kminus"))
+        return cls.build(LinearCode.from_json(data["code"]), kplus, kminus)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from .algebra import (
     subfield_logs,
 )
 from .ball import BallSpec, ball_size
-from .errors import DomainError, OracleDisagreement
+from .errors import DomainError, OracleDisagreement, exact_int, exact_ints
 from .lattice import LatticeBasis, _chain_kernel
 from .limits import check
 from .splitting import MagnitudeSet, SplitReport, SplitterSet, multiplicity_histogram
@@ -45,7 +45,6 @@ class BtSet:
     N: int
     elements: tuple[int, ...]
     t: int
-    provenance: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(sorted(int(a) % self.N for a in self.elements)))
@@ -77,7 +76,7 @@ def bose_chowla_s1(q: int, t: int) -> BtSet:
     field = find_primitive_polynomial(p, m * t)
     n, zech = field.size - 1, field.tables()[2]
     logs = [_log_add(zech, n, 1, alpha) for alpha in subfield_logs(field, q)]
-    return BtSet(n, tuple(sorted(logs)), t, "S1")
+    return BtSet(n, tuple(sorted(logs)), t)
 
 
 def bose_chowla_s2(q: int, t: int) -> S2Data:
@@ -99,7 +98,7 @@ def bose_chowla_s2(q: int, t: int) -> S2Data:
     elements = set(svals) | {0}
     if len(elements) != q + 1:
         raise DomainError("degenerate S2 data: s-values are not distinct and nonzero")
-    bt = BtSet(N, tuple(sorted(elements)), t, "S2")
+    bt = BtSet(N, tuple(sorted(elements)), t)
     return S2Data(bt, field, q, t, N, alphas, tuple(svals), tuple(betas))
 
 
@@ -273,7 +272,7 @@ def search_bt_set(N: int, t: int, target_size: int) -> tuple[BtSet, bool]:
             f"B_{t} search returned {found} over Z_{N}; "
             f"the full check finds {witness[0]} and {witness[1]} with one sum"
         )
-    return BtSet(N, tuple(found), t, "search"), reached
+    return BtSet(N, tuple(found), t), reached
 
 
 def bt_shift_to_splitter(bt: BtSet) -> SplitterSet:
@@ -479,15 +478,14 @@ def search_kfold_sidon(N: int, k: int, target_size: int) -> tuple[SidonParams, b
 def kfold_sidon_splitter(params: SidonParams, kplus: int, kminus: int) -> SplitterSet:
     """Embed a k-fold Sidon set as {(1, x)} in Z_{2(kplus+kminus)+1} x Z_N and
     split with coefficients [-kminus, kplus]*; always t = 2."""
-    if not 0 <= kminus <= kplus <= params.k:
-        raise DomainError("need 0 <= kminus <= kplus <= the Sidon fold k")
-    if kplus + kminus < 1:
-        raise DomainError("need kplus + kminus >= 1")
+    magnitudes = MagnitudeSet(kplus, kminus)
+    if kplus > params.k:
+        raise DomainError("need kplus <= the Sidon fold k")
     if len(params.elements) < 2:
         raise DomainError("need at least two set elements for a 2-split")
-    group = GroupSpec((2 * (kplus + kminus) + 1, params.N))
+    group = GroupSpec((2 * magnitudes.size + 1, params.N))
     elements = tuple(group.element((1, x)) for x in params.elements)
-    return SplitterSet(group, elements, MagnitudeSet(kplus, kminus), 2)
+    return SplitterSet(group, elements, magnitudes, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +511,7 @@ def behrend_ruzsa_splitter(
 ) -> SplitterSet:
     """Splitter {(1, x, x^2)} over Z_{3kplus+2kminus+1} x Z_p x Z_p built from
     the largest sphere class; t = 2, valid only for kplus <= 3."""
-    if not 0 <= kminus <= kplus:
-        raise DomainError("need 0 <= kminus <= kplus")
-    if kplus + kminus < 1:
-        raise DomainError("need kplus + kminus >= 1")
+    magnitudes = MagnitudeSet(kplus, kminus)
     if kplus > 3:
         raise DomainError("kplus <= 3 is required; the square/nonresidue "
                           "dichotomy for coefficient products fails beyond it")
@@ -534,7 +529,7 @@ def behrend_ruzsa_splitter(
     elements = tuple(
         group.element((1, x % p, x * x % p)) for x in classes[best_m]
     )
-    return SplitterSet(group, elements, MagnitudeSet(kplus, kminus), 2)
+    return SplitterSet(group, elements, magnitudes, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -613,14 +608,10 @@ class LinearCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "LinearCode":
-        return cls(
-            int(data["p"]),
-            int(data["n"]),
-            int(data["k"]),
-            tuple(tuple(int(x) for x in r) for r in data["generator"]),
-            tuple(tuple(int(x) for x in r) for r in data["parity_check"]),
-            int(data["d"]),
-        )
+        p, n, k, d = (exact_int(data[key], key) for key in ("p", "n", "k", "d"))
+        G, H = (tuple(exact_ints(r, "integers") for r in data[key])
+                for key in ("generator", "parity_check"))
+        return cls(p, n, k, G, H, d)
 
 
 def _rank_mod_p(matrix: list[list[int]], p: int) -> int:
@@ -817,7 +808,7 @@ def product_splitter(base: SplitterSet, t: int) -> SplitterSet:
     for block in range(t):
         for s in base.elements:
             residues = [0] * (rank * t)
-            residues[block * rank : (block + 1) * rank] = list(s.residues)
+            residues[block * rank : (block + 1) * rank] = s
             elements.append(group.element(residues))
     return SplitterSet(group, tuple(elements), base.magnitudes, t)
 
@@ -866,7 +857,6 @@ def hamming_covering_baseline(
 class LambdaSample:
     splitter: SplitterSet
     report: SplitReport
-    lambda_: int
     size_in_range: bool
     expected_size: float
 
@@ -905,8 +895,6 @@ def sample_lambda_splitter(
         MagnitudeSet(kplus, kminus),
         t,
     )
-    report = multiplicity_histogram(splitter)
     expected = N ** (1 / t - epsilon)
     in_range = expected / 2 <= len(members) <= 1.5 * expected
-    assert report.lambda_ is not None
-    return LambdaSample(splitter, report, report.lambda_, in_range, expected)
+    return LambdaSample(splitter, multiplicity_histogram(splitter), in_range, expected)

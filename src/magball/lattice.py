@@ -24,7 +24,7 @@ from operator import mod, mul
 from typing import Sequence
 
 from .ball import BallSpec, ball_images, ball_size
-from .errors import DomainError
+from .errors import DomainError, exact_int, exact_ints
 from .limits import check
 from .splitting import SplitterSet
 
@@ -127,12 +127,13 @@ class LatticeBasis:
     @classmethod
     def from_json(cls, data: dict) -> "LatticeBasis":
         """Load a basis, canonicalising arbitrary spanning rows to HNF."""
-        rows = [[int(x) for x in r] for r in data["rows"]]
-        basis = basis_from_rows(rows, int(data["n"]))
-        if int(data["volume"]) != basis.volume:
-            raise DomainError(
-                f"stored volume {data['volume']} != computed {basis.volume}"
-            )
+        rows = [exact_ints(r, "integers") for r in data["rows"]]
+        basis = basis_from_rows(rows, exact_int(data["n"], "n"))
+        volume = data["volume"]
+        if not isinstance(volume, str):
+            raise DomainError(f"volume must be a decimal string, got {volume!r}")
+        if volume != str(basis.volume):
+            raise DomainError(f"stored volume {volume} != computed {basis.volume}")
         return basis
 
 
@@ -168,7 +169,7 @@ def _combine(coefs: Sequence[int], vecs: Sequence[dict[int, int]]) -> dict[int, 
 def kernel_lattice(splitter: SplitterSet) -> LatticeBasis:
     """The lattice of integer vectors whose splitter combination is the identity."""
     check("group_order", splitter.group.order)
-    return _chain_kernel(splitter.group.moduli, [e.residues for e in splitter.elements])
+    return _chain_kernel(splitter.group.moduli, splitter.elements)
 
 
 def _chain_kernel(moduli: Sequence[int], columns: Sequence[Sequence[int]]) -> LatticeBasis:

@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, exact_int
 
 ENV_VAR = "MAGBALL_LIMITS"
 
@@ -45,7 +45,7 @@ def parse_limits(raw: str, source: str, base: Limits) -> Limits:
     if unknown:
         raise DomainError(f"unknown {source} keys: {sorted(unknown)}")
     for key, value in overrides.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if exact_int(value, f"{source} {key}") < 1:
             raise DomainError(f"{source} {key} must be a positive integer, got {value!r}")
     return replace(base, **overrides)
 

@@ -24,9 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import GroupElement, GroupSpec
+from .algebra import GroupSpec
 from .ball import BallSpec, ball_images, ball_size
-from .errors import DomainError
+from .errors import DomainError, exact_int
 from .limits import check
 
 
@@ -53,19 +53,22 @@ class MagnitudeSet:
 
 @dataclass(frozen=True)
 class SplitterSet:
+    """Elements ``s_1..s_n`` of ``group``, each its reduced residue tuple."""
+
     group: GroupSpec
-    elements: tuple[GroupElement, ...]
+    elements: tuple[tuple[int, ...], ...]
     magnitudes: MagnitudeSet
     t: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "elements", tuple(map(tuple, self.elements)))
         if len(self.elements) < 1:
             raise DomainError("splitter set must be nonempty")
+        moduli = self.group.moduli
         for s in self.elements:
-            if s.spec != self.group:
-                raise DomainError("splitter element outside the ambient group")
-        if len({s.residues for s in self.elements}) != len(self.elements):
+            if len(s) != len(moduli) or not all(0 <= r < m for r, m in zip(s, moduli)):
+                raise DomainError(f"splitter element {list(s)} outside the group {list(moduli)}")
+        if len(set(self.elements)) != len(self.elements):
             raise DomainError("splitter elements must be pairwise distinct")
         if not 1 <= self.t <= len(self.elements):
             raise DomainError("need 1 <= t <= n")
@@ -80,7 +83,7 @@ class SplitterSet:
     def to_json(self) -> dict:
         return {
             "group": self.group.to_json(),
-            "elements": [list(s.residues) for s in self.elements],
+            "elements": [list(s) for s in self.elements],
             "kplus": self.magnitudes.kplus,
             "kminus": self.magnitudes.kminus,
             "t": self.t,
@@ -89,13 +92,9 @@ class SplitterSet:
     @classmethod
     def from_json(cls, data: dict) -> "SplitterSet":
         group = GroupSpec.from_json(data["group"])
-        elements = tuple(group.element(r) for r in data["elements"])
-        return cls(
-            group,
-            elements,
-            MagnitudeSet(int(data["kplus"]), int(data["kminus"])),
-            int(data["t"]),
-        )
+        kplus, kminus, t = (exact_int(data[key], key) for key in ("kplus", "kminus", "t"))
+        elements = tuple(map(group.element, data["elements"]))
+        return cls(group, elements, MagnitudeSet(kplus, kminus), t)
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ class SplitReport:
         }
 
 
-def phi(splitter: SplitterSet, e: Sequence[int]) -> GroupElement:
+def phi(splitter: SplitterSet, e: Sequence[int]) -> tuple[int, ...]:
     """The homomorphism image ``sum e_i s_i`` of an integer coefficient vector."""
     if len(e) != splitter.n:
         raise DomainError(f"coefficient length {len(e)} != n = {splitter.n}")
@@ -157,15 +156,14 @@ def phi(splitter: SplitterSet, e: Sequence[int]) -> GroupElement:
     total = [0] * len(moduli)
     for c, s in zip(e, splitter.elements):
         if c:
-            for j, r in enumerate(s.residues):
+            for j, r in enumerate(s):
                 total[j] += c * r
-    return GroupElement(splitter.group, tuple(x % m for x, m in zip(total, moduli)))
+    return tuple(x % m for x, m in zip(total, moduli))
 
 
 def _images(splitter: SplitterSet):
     """``(support, values, image)`` of every ball vector, zero vector first."""
-    rows = [s.residues for s in splitter.elements]
-    return ball_images(splitter.ball(), rows, splitter.group.moduli)
+    return ball_images(splitter.ball(), splitter.elements, splitter.group.moduli)
 
 
 def _first_event(splitter: SplitterSet) -> SplitWitness | None:
@@ -204,10 +202,8 @@ def check_complete_split(splitter: SplitterSet) -> SplitReport:
     if len(reachable) == splitter.group.order:
         return SplitReport("verified")
     for g in splitter.group.elements():
-        if g.residues not in reachable:
-            return SplitReport(
-                "refuted", witness=SplitWitness(kind="uncovered", g=g.residues)
-            )
+        if g not in reachable:
+            return SplitReport("refuted", witness=SplitWitness(kind="uncovered", g=g))
     raise AssertionError("unreachable: count mismatch without a missing element")
 
 

@@ -46,7 +46,6 @@ from magball import (
     BtSet,
     DomainError,
     FieldSpec,
-    GroupElement,
     GroupSpec,
     LinearCode,
     MagnitudeSet,
@@ -96,7 +95,7 @@ def syndrome(code: LinearCode, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(a * b for a, b in zip(h, v)) % code.p for h in code.parity_check)
 
 
-def subgroup_order(group: GroupSpec, gens: Sequence[GroupElement]) -> int:
+def subgroup_order(group: GroupSpec, gens: Sequence[tuple[int, ...]]) -> int:
     """Order of the subgroup generated by ``gens``, by breadth-first closure.
 
     In a finite group the additive closure of the generators already contains
@@ -104,10 +103,10 @@ def subgroup_order(group: GroupSpec, gens: Sequence[GroupElement]) -> int:
     """
     check("group_order", group.order)
     for g in gens:
-        if g.spec != group:
+        if group.element(g) != tuple(g):
             raise DomainError("generator does not belong to the group")
     moduli = group.moduli
-    gen_res = [g.residues for g in gens]
+    gen_res = list(gens)
     identity = (0,) * group.rank
     seen = {identity}
     frontier = [identity]
@@ -265,16 +264,16 @@ def s2_splitter_set(ctx: S2DecoderContext) -> SplitterSet:
     )
 
 
-def relation_matrix(group: GroupSpec, elements: Sequence[GroupElement]) -> list[list[int]]:
+def relation_matrix(group: GroupSpec, elements: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """The elements' residues as rows, followed by the modulus rows ``m_j e_j``."""
     moduli = group.moduli
-    return [list(g.residues) for g in elements] + [
+    return [list(g) for g in elements] + [
         [m if i == j else 0 for i in range(len(moduli))] for j, m in enumerate(moduli)
     ]
 
 
 def subgroup_order_by_diagonalization(
-    group: GroupSpec, gens: Sequence[GroupElement]
+    group: GroupSpec, gens: Sequence[tuple[int, ...]]
 ) -> int:
     """Subgroup order via Smith diagonalization of the relation matrix: the
     quotient of Z^r by (generator lifts + modulus rows) has order equal to the
@@ -313,7 +312,7 @@ def _backtrack_by_recheck(N: int, target_size: int, accepts) -> tuple[list[int],
 def search_bt_set_by_recheck(N: int, t: int, target_size: int) -> tuple[BtSet, bool]:
     """Backtracking for a B_t set that runs :func:`is_bt_set` on every candidate set."""
     found, reached = _backtrack_by_recheck(N, target_size, lambda cand: is_bt_set(cand, N, t)[0])
-    return BtSet(N, tuple(found), t, "search"), reached
+    return BtSet(N, tuple(found), t), reached
 
 
 def search_kfold_sidon_by_recheck(N: int, k: int, target_size: int) -> tuple[SidonParams, bool]:
@@ -389,7 +388,7 @@ def search_bt_set_unpruned(N: int, t: int, target_size: int) -> tuple[BtSet, boo
     found, reached = _backtrack_unpruned(
         N, target_size, lambda size: comb(size + t - 1, t), lambda current: admit
     )
-    return BtSet(N, tuple(found), t, "search"), reached
+    return BtSet(N, tuple(found), t), reached
 
 
 def _sidon_blocked_values(accepted: Sequence[int], N: int, k: int) -> list[tuple[int, set[int]]]:

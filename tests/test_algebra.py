@@ -250,26 +250,36 @@ class TestPackedFieldAgainstTuples:
 class TestGroupOps:
     def test_componentwise_add(self):
         g = GroupSpec((8, 5))
-        assert group_add(g.element((3, 4)), g.element((7, 2))).residues == (2, 1)
+        assert group_add(g, (3, 4), (7, 2)) == (2, 1)
 
     def test_negative_scalar(self):
         g = GroupSpec((8, 5))
-        assert scalar_mul(-1, g.element((3, 4))).residues == (5, 1)
+        assert scalar_mul(g, -1, (3, 4)) == (5, 1)
 
     def test_zero_scalar_gives_identity(self):
         g = GroupSpec((8, 5))
-        assert scalar_mul(0, g.element((3, 4))) == g.identity()
+        assert scalar_mul(g, 0, (3, 4)) == g.identity() == (0, 0)
 
     @pytest.mark.parametrize("residues", [1, [3], ["1", 2], [1.5, 2], [True, 2], "12"])
     def test_residues_that_are_not_a_list_of_ints_are_rejected(self, residues):
         with pytest.raises(DomainError):
             GroupSpec((8, 5)).element(residues)
 
-    def test_spec_mismatch_rejected(self):
-        a = GroupSpec((8,)).element((1,))
-        b = GroupSpec((9,)).element((1,))
+    def test_element_reduces_into_range(self):
+        assert GroupSpec((8, 5)).element([-1, 12]) == (7, 2)
+
+    # The old elements carried their group; a residue tuple of another rank,
+    # or one that is not exact ints, is refused by the group it is used in.
+    @pytest.mark.parametrize("bad", [(1,), (1, 0, 0), (1.0, 0), [True, 0]])
+    @pytest.mark.parametrize("op", [
+        lambda g, x: group_add(g, (1, 0), x),
+        lambda g, x: group_add(g, x, (1, 0)),
+        group_neg,
+        lambda g, x: scalar_mul(g, 2, x),
+    ])
+    def test_operand_outside_the_group_rejected(self, op, bad):
         with pytest.raises(DomainError):
-            group_add(a, b)
+            op(GroupSpec((8, 9)), bad)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
@@ -279,15 +289,15 @@ class TestGroupOps:
     def test_scalar_mul_distributes(self, moduli, c1, c2):
         g = GroupSpec(tuple(moduli))
         x = g.element(tuple(random.Random(0).randrange(m) for m in moduli))
-        lhs = scalar_mul(c1 + c2, x)
-        rhs = group_add(scalar_mul(c1, x), scalar_mul(c2, x))
+        lhs = scalar_mul(g, c1 + c2, x)
+        rhs = group_add(g, scalar_mul(g, c1, x), scalar_mul(g, c2, x))
         assert lhs == rhs
 
     @given(st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=3))
     def test_neg_is_additive_inverse(self, moduli):
         g = GroupSpec(tuple(moduli))
         for e in list(g.elements())[:20]:
-            assert group_add(e, group_neg(e)) == g.identity()
+            assert group_add(g, e, group_neg(g, e)) == g.identity()
 
 
 class TestSubgroupOrder:

@@ -147,3 +147,11 @@ def test_ball_images_rejects_malformed_rows():
         list(ball_images(spec, [(1, 2)] * 3, (5,)))
     with pytest.raises(DomainError):
         list(ball_images(spec, [(1,)] * 3, (0,)))
+
+
+@pytest.mark.parametrize("key, value", [("n", 4.0), ("t", "1"), ("kplus", True), ("kminus", 0.5)])
+def test_from_json_takes_exact_integers(key, value):
+    data = BallSpec(4, 1, 1, 0).to_json()
+    assert BallSpec.from_json(data) == BallSpec(4, 1, 1, 0)
+    with pytest.raises(DomainError, match=f"{key} must be an integer"):
+        BallSpec.from_json({**data, key: value})

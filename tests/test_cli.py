@@ -619,6 +619,83 @@ class TestMalformedInput:
         assert "bad input line 2" in capsys.readouterr().err
 
 
+def _set(key, value):
+    return lambda data: data.update({key: value})
+
+
+def _set_code(key, value):
+    return lambda data: data["code"].update({key: value})
+
+
+def _float_svals(data):
+    data["svals"] = [float(s) for s in data["svals"]]
+
+
+# A tiny artifact of each kind that exits 0 as written: the construct flags
+# that write it (None: the document itself), and the command that reads it.
+_NUMBER_BASES = {
+    "splitter": ({"group": [5, 7], "elements": [[1, 0], [0, 1]], "kplus": 1, "kminus": 0,
+                  "t": 1}, ["verify", "--kind", "packing", "--splitter"]),
+    "lattice": ({"n": 2, "rows": [[1, 5], [0, 8]], "volume": "8"},
+                ["verify", "--kind", "packing", "--n", "2", "--t", "2", "--lattice"]),
+    "modp": (["--family", "bch-lattice", "--p", "2", "--m", "4", "--d", "5", "--kplus", "1",
+              "--kminus", "0"], ["decode", "--context"]),
+    "s2": (["--family", "bose-chowla-10", "--q", "3", "--t", "3", "--variant", "s2"],
+           ["decode", "--context"]),
+}
+
+
+class TestExactIntegers:
+    """``int()`` reads each number below as the stored one (and "57" as the
+    moduli 5 and 7), so these documents were once read as their neighbours.
+    Every integer field must be an exact JSON integer."""
+
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("splitter", _set("group", "57")),
+            ("splitter", lambda data: data.update({"kplus": 1.9, "t": 1.5})),
+            ("splitter", _set("kplus", True)),
+            ("splitter", _set("elements", [[1, 0], [0, 1.0]])),
+            ("lattice", _set("rows", [[1, 5.7], [0, 8]])),
+            ("lattice", _set("n", 2.0)),
+            ("lattice", _set("volume", 8)),
+            ("modp", _set("kplus", 1.7)),
+            ("modp", _set_code("d", 5.9)),
+            ("modp", _set_code("p", "2")),
+            ("s2", _set("t", 3.2)),
+            ("s2", _float_svals),
+            ("s2", lambda data: data["field"].update({"p": 3.0})),
+        ],
+        ids=["group-str", "kplus-t-float", "kplus-bool", "residue-float", "row-float",
+             "n-float", "volume-int", "kplus-float", "d-float", "p-str", "t-float",
+             "svals-float", "field-p-float"],
+    )
+    def test_inexact_number_is_exit_2(self, tmp_path, capsys, kind, edit):
+        base, command = _NUMBER_BASES[kind]
+        path = tmp_path / "doc.json"
+        if isinstance(base, dict):
+            path.write_text(json.dumps(base))
+        else:
+            main(["construct", *base, "--out-dir", str(tmp_path), "--prefix", "doc"])
+            path = tmp_path / "doc.decoder.json"
+        argv = [*command, str(path)]
+        if kind in ("modp", "s2"):
+            data = json.loads(path.read_text())
+            vectors = tmp_path / "in.jsonl"
+            vectors.write_text(json.dumps([0] * (data.get("q") or data["code"]["n"])) + "\n")
+            argv += ["--in", str(vectors)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {path}: " in captured.err
+
+
 class TestVerifyLambdaCli:
     def test_lambda_report(self, tmp_path, capsys):
         main(

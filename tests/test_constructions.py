@@ -115,23 +115,23 @@ class TestBtSplitters:
     def test_shift_example(self):
         from magball.constructions import BtSet
 
-        bt = BtSet(8, (0, 1, 3), 2, "search")
+        bt = BtSet(8, (0, 1, 3), 2)
         s = bt_shift_to_splitter(bt)
-        assert [e.residues[0] for e in s.elements] == [1, 3]
+        assert [e[0] for e in s.elements] == [1, 3]
         assert check_partial_split(s).verified
 
     def test_shift_normalises_any_representative(self):
         from magball.constructions import BtSet
 
-        bt = BtSet(8, (1, 2, 4), 2, "search")
+        bt = BtSet(8, (1, 2, 4), 2)
         s = bt_shift_to_splitter(bt)
-        assert [e.residues[0] for e in s.elements] == [1, 3]
+        assert [e[0] for e in s.elements] == [1, 3]
 
     def test_shift_rejects_singletons(self):
         from magball.constructions import BtSet
 
         with pytest.raises(DomainError):
-            bt_shift_to_splitter(BtSet(11, (0,), 2, "search"))
+            bt_shift_to_splitter(BtSet(11, (0,), 2))
 
     def test_cor6_density_at_q4(self):
         s = bt_shift_to_splitter(bose_chowla_s1(4, 2))
@@ -152,9 +152,9 @@ class TestBtSplitters:
     def test_pm1_example(self):
         from magball.constructions import BtSet
 
-        s = bt_pm1_splitter(BtSet(8, (0, 1, 3), 2, "search"), 2)
+        s = bt_pm1_splitter(BtSet(8, (0, 1, 3), 2), 2)
         assert s.group.moduli == (8, 5)
-        assert [e.residues for e in s.elements] == [(0, 1), (1, 1), (3, 1)]
+        assert list(s.elements) == [(0, 1), (1, 1), (3, 1)]
         assert check_partial_split(s).verified
 
     def test_cor7_density_at_q3(self):
@@ -218,6 +218,18 @@ class TestKfoldSidon:
             kfold_sidon_splitter(params, 2, 0)  # kplus exceeds the fold
         s = kfold_sidon_splitter(params, 1, 1)
         assert s.group.moduli == (5, 11)
+
+    # The magnitude interval is checked by MagnitudeSet alone.
+    @pytest.mark.parametrize("kplus, kminus, message", [
+        (1, 2, "need 0 <= kminus <= kplus"), (1, -1, "need 0 <= kminus <= kplus"),
+        (0, 0, r"need kplus \+ kminus >= 1"),
+    ])
+    def test_magnitude_gate(self, kplus, kminus, message):
+        params, _ = search_kfold_sidon(31, 2, 4)
+        with pytest.raises(DomainError, match=message):
+            kfold_sidon_splitter(params, kplus, kminus)
+        with pytest.raises(DomainError, match=message):
+            behrend_ruzsa_splitter(kplus, kminus, 2, 1, 17)
 
 
 def _sidon_moduli(k: int, top: int):
@@ -492,7 +504,7 @@ class TestBehrend:
     def test_instance_17(self):
         s = behrend_ruzsa_splitter(1, 0, 2, 1, 17)
         assert s.group.moduli == (4, 17, 17)
-        assert [e.residues for e in s.elements] == [(1, 1, 1), (1, 4, 16)]
+        assert list(s.elements) == [(1, 1, 1), (1, 4, 16)]
         assert check_partial_split(s).verified
 
     def test_kplus_gate(self):
@@ -607,21 +619,21 @@ class TestCodeLattice:
 class TestCoveringFamilies:
     def test_base_split_z4(self):
         s = covering_base_split(2, 2, 1, 0)
-        assert [e.residues[0] for e in s.elements] == [1, 2, 3]
+        assert [e[0] for e in s.elements] == [1, 2, 3]
         assert s.magnitudes.values() == (1,)
         assert check_complete_split(s).verified
         assert check_partial_split(s).verified  # tiling
 
     def test_base_split_z9(self):
         s = covering_base_split(3, 2, 1, 1)
-        assert [e.residues[0] for e in s.elements] == [1, 3, 4, 7]
+        assert [e[0] for e in s.elements] == [1, 3, 4, 7]
         assert s.magnitudes.values() == (-1, 1)
         assert check_complete_split(s).verified
         assert check_partial_split(s).verified
 
     def test_base_split_m1(self):
         s = covering_base_split(3, 1, 1, 1)
-        assert [e.residues[0] for e in s.elements] == [1]
+        assert [e[0] for e in s.elements] == [1]
         assert check_complete_split(s).verified
 
     def test_prime_gate(self):
@@ -633,7 +645,7 @@ class TestCoveringFamilies:
     def test_product_example_and_density(self):
         base = covering_base_split(2, 2, 1, 0)
         s = product_splitter(base, 2)
-        assert [e.residues for e in s.elements] == [
+        assert list(s.elements) == [
             (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3),
         ]
         assert check_complete_split(s).verified
@@ -665,8 +677,8 @@ class TestCoveringFamilies:
         assert check_complete_split(base).verified
         s = product_splitter(base, 2)
         assert s.group.moduli == (2, 2, 2, 2) and s.n == 6
-        assert s.elements[0].residues == (0, 1, 0, 0)
-        assert s.elements[3].residues == (0, 0, 0, 1)
+        assert s.elements[0] == (0, 1, 0, 0)
+        assert s.elements[3] == (0, 0, 0, 1)
         assert check_complete_split(s).verified
 
     def test_covering_density_at_least_one(self):
@@ -705,12 +717,12 @@ class TestLambdaSampler:
         a = sample_lambda_splitter(53, 2, 1, 0, 0.25, seed=1)
         b = sample_lambda_splitter(53, 2, 1, 0, 0.25, seed=1)
         assert a.splitter == b.splitter
-        assert a.lambda_ == b.lambda_
+        assert a.report.lambda_ == b.report.lambda_
         assert a.report.to_json() == b.report.to_json()
 
     def test_lambda_is_histogram_max(self):
         sample = sample_lambda_splitter(53, 2, 1, 0, 0.25, seed=1)
-        assert sample.lambda_ == max(
+        assert sample.report.lambda_ == max(
             m for m, cnt in sample.report.histogram.items() if cnt
         )
 
@@ -721,7 +733,7 @@ class TestLambdaSampler:
             except DomainError:
                 continue
             partial = check_partial_split(sample.splitter)
-            assert (sample.lambda_ == 1) == partial.verified
+            assert (sample.report.lambda_ == 1) == partial.verified
 
     def test_gcd_gate(self):
         with pytest.raises(DomainError):

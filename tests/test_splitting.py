@@ -31,16 +31,16 @@ def _oracle(splitter):
     images = {}
     zero_hit = None
     collision = None
-    reachable = {splitter.group.identity().residues}
-    counts = {splitter.group.identity().residues: 1}
+    reachable = {splitter.group.identity()}
+    counts = {splitter.group.identity(): 1}
     for e in product(vals, repeat=splitter.n):
         w = sum(1 for x in e if x)
         if w == 0 or w > splitter.t:
             continue
-        img = phi(splitter, e).residues
+        img = phi(splitter, e)
         counts[img] = counts.get(img, 0) + 1
         reachable.add(img)
-        if img == splitter.group.identity().residues and zero_hit is None:
+        if img == splitter.group.identity() and zero_hit is None:
             zero_hit = e
         elif img in images and collision is None:
             collision = (images[img], e)
@@ -54,10 +54,10 @@ def _oracle(splitter):
 class TestPhi:
     def test_examples(self):
         s = _splitter((8,), [(1,), (3,)], 1, 0, 2)
-        assert phi(s, (1, 1)).residues == (4,)
+        assert phi(s, (1, 1)) == (4,)
         assert phi(s, (0, 0)) == s.group.identity()
         s2 = _splitter((8, 5), [(0, 1), (1, 1), (3, 1)], 1, 1, 2)
-        assert phi(s2, (1, -1, 1)).residues == (2, 1)
+        assert phi(s2, (1, -1, 1)) == (2, 1)
 
     def test_length_mismatch(self):
         s = _splitter((8,), [(1,), (3,)], 1, 0, 2)
@@ -186,7 +186,7 @@ class TestInvariants:
                 negated = SplitterSet(
                     s.group,
                     tuple(
-                        s.group.element(tuple(-x for x in e.residues))
+                        s.group.element(tuple(-x for x in e))
                         for e in s.elements
                     ),
                     s.magnitudes,
@@ -205,12 +205,12 @@ def _reference_scan(splitter):
     image is the identity or an image an earlier vector reached), lambda, the
     histogram and the set of reachable images.
     """
-    identity = splitter.group.identity().residues
+    identity = splitter.group.identity()
     first = {}
     counts = Counter()
     witness = None
     for e in enumerate_ball(splitter.ball()):
-        img = phi(splitter, e).residues
+        img = phi(splitter, e)
         counts[img] += 1
         if witness is None and any(e):
             if img == identity:
@@ -242,7 +242,7 @@ def _assert_single_path(s):
         "lambda": lam,
         "histogram": {str(k): v for k, v in sorted(histogram.items())},
     }
-    missing = [g.residues for g in s.group.elements() if g.residues not in reachable]
+    missing = [g for g in s.group.elements() if g not in reachable]
     if missing:
         assert complete["witness"] == {"kind": "uncovered", "g": list(missing[0])}
     else:
@@ -312,3 +312,15 @@ class TestSerialization:
             SplitterSet(g, (g.element((1,)),), MagnitudeSet(1, 0), 2)  # t > n
         with pytest.raises(DomainError):
             MagnitudeSet(0, 0)
+
+    # An element is its residue tuple, so the splitter set checks each one
+    # against its group: the right rank, every residue reduced.
+    @pytest.mark.parametrize("element", [(1, 0), (), (8,), (-1,)])
+    def test_element_outside_the_group_is_rejected(self, element):
+        g = GroupSpec((8,))
+        with pytest.raises(DomainError, match="outside the group"):
+            SplitterSet(g, ((3,), element), MagnitudeSet(1, 0), 1)
+
+    def test_from_json_reduces_residues(self):
+        data = {"group": [8, 5], "elements": [[9, -1]], "kplus": 1, "kminus": 0, "t": 1}
+        assert SplitterSet.from_json(data).elements == ((1, 4),)
