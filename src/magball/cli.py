@@ -246,7 +246,8 @@ def cmd_construct(args) -> int:
 # verify / density
 # ---------------------------------------------------------------------------
 
-# The ball of a --lattice run is --n with these, unless their flags are given.
+# The ball of a --lattice run has the lattice's n and, unless their flags are
+# given, these.
 _LATTICE_BALL_DEFAULTS = {"t": 1, "kplus": 1, "kminus": 0}
 
 
@@ -264,11 +265,12 @@ def _load_artifact(args) -> tuple[SplitterSet | LatticeBasis, BallSpec]:
             raise DomainError(f"{', '.join(given)}: a splitter set carries its own ball")
         splitter = _load(args.splitter, SplitterSet.from_json)
         return splitter, splitter.ball()
-    if args.n is None:
-        raise DomainError("--lattice needs --n")
-    ball = BallSpec(**{name: _LATTICE_BALL_DEFAULTS[name] if value is None else value
-                       for name, value in flags.items()})
-    return _load(args.lattice, LatticeBasis.from_json), ball
+    basis = _load(args.lattice, LatticeBasis.from_json)
+    if args.n not in (None, basis.n):
+        raise DomainError(f"--n {args.n}: {args.lattice} has n = {basis.n}")
+    ball = BallSpec(basis.n, **{name: default if flags[name] is None else flags[name]
+                                for name, default in _LATTICE_BALL_DEFAULTS.items()})
+    return basis, ball
 
 
 def _checks(kind: str) -> tuple[Callable, Callable]:
@@ -496,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd in (ver, den):
         cmd.add_argument("--splitter", help="a splitter set, with its own ball")
         cmd.add_argument("--lattice", help="a lattice basis, with the ball of the flags below")
-        cmd.add_argument("--n", type=int)
+        cmd.add_argument("--n", type=int, help="default: the lattice's n")
         for name, default in _LATTICE_BALL_DEFAULTS.items():
             cmd.add_argument(f"--{name}", type=int, help=f"default {default}")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .algebra import FieldSpec, _log_add, _log_mul, _poly_from_roots, _subfield_tables
+from .algebra import FieldSpec, _log_add, _log_mul, _subfield_tables
 from .ball import BallSpec, ball_images, ball_size
 from .constructions import LinearCode, S2Data
 from .errors import DomainError, exact_int, exact_ints
@@ -139,11 +139,6 @@ def _poly_trim(poly: Sequence[int]) -> list[int]:
     return out
 
 
-def _monic(n: int, poly: Sequence[int]) -> list[int]:
-    trimmed = _poly_trim(poly)
-    return [_log_mul(n, c, -trimmed[-1] % n) for c in trimmed] if trimmed else trimmed
-
-
 def _poly_mul_mod(
     zech: Mapping[int, int], n: int, a: Sequence[int], b: Sequence[int], minus_modulus: Sequence[int]
 ) -> tuple[list[int], int]:
@@ -203,9 +198,7 @@ class S2DecodeResult:
     ops: OpCounter = field(default_factory=OpCounter)
 
 
-def decode_s2(
-    ctx: S2DecoderContext, y: Sequence[int], verify_identity: bool = False
-) -> S2DecodeResult:
+def decode_s2(ctx: S2DecoderContext, y: Sequence[int]) -> S2DecodeResult:
     """Correct up to t unit-magnitude increases against the B_t-set lattice.
 
     The weighted sum ``s`` of the received vector determines
@@ -241,15 +234,6 @@ def decode_s2(
         corrected[i] -= 1
     if sum(c * si for c, si in zip(corrected, ctx.svals)) % ctx.N != 0:
         return S2DecodeResult("fail", None, tuple(positions), ops)
-
-    if verify_identity and positions:
-        # The monic normalisations of (prod beta_i) r(x) and prod (x + alpha_i)
-        # must coincide; reducing s mod N leaves a subfield unit on r.
-        beta_prod = sum(ctx.betas[i] for i in positions) % n
-        lhs = _monic(n, [_log_mul(n, beta_prod, c) for c in r])
-        rhs = _poly_from_roots(ctx.field, zech, [_log_mul(n, ctx.alphas[i], minus_one) for i in positions])
-        if lhs != _monic(n, rhs):
-            return S2DecodeResult("fail", None, tuple(positions), ops)
 
     return S2DecodeResult("ok", tuple(corrected), tuple(positions), ops)
 

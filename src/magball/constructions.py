@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field
+from decimal import Context
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, floor, gcd
@@ -693,16 +694,10 @@ def bch_code(p: int, m: int, d: int) -> LinearCode:
     k = n - (len(g) - 1)
     if k < 1:
         raise DomainError("designed distance leaves no information symbols")
-    generator = tuple(
-        tuple(([0] * i + list(g) + [0] * (n - len(g) - i))[j] for j in range(n))
-        for i in range(k)
-    )
-    h = _poly_divmod_p([-1] + [0] * (n - 1) + [1], list(g), p)
-    h_rev = list(reversed(h))
-    parity = tuple(
-        tuple(([0] * i + h_rev + [0] * (n - len(h_rev) - i))[j] for j in range(n))
-        for i in range(n - k)
-    )
+    # Every xi^j is a root of x^n - 1, so h = (x^n - 1) / g has the others.
+    h = _generator_from_roots(field, sorted(set(range(n)) - defining))
+    generator = _shifts(g, n, k)
+    parity = _shifts(h[::-1], n, n - k)
     code = LinearCode(p, n, k, generator, parity, d)
     if p**k <= 4096 and min_distance(code) < d:
         raise DomainError("designed distance not met; construction is broken")
@@ -721,24 +716,9 @@ def _generator_from_roots(field: FieldSpec, exponents: Sequence[int]) -> tuple[i
     return tuple(out)
 
 
-def _poly_divmod_p(num: list[int], den: list[int], p: int) -> list[int]:
-    """Quotient of num / den over F_p; raises if the division is not exact."""
-    num = [x % p for x in num]
-    den = [x % p for x in den]
-    while den and den[-1] == 0:
-        den.pop()
-    inv_lead = pow(den[-1], -1, p)
-    quot = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for i in range(len(quot) - 1, -1, -1):
-        coef = (rem[i + len(den) - 1] * inv_lead) % p
-        quot[i] = coef
-        if coef:
-            for j, dc in enumerate(den):
-                rem[i + j] = (rem[i + j] - coef * dc) % p
-    if any(rem):
-        raise DomainError("polynomial division was not exact")
-    return quot
+def _shifts(poly: Sequence[int], n: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """The first ``count`` length-n rows ``x^i * poly``."""
+    return tuple((0,) * i + tuple(poly) + (0,) * (n - len(poly) - i) for i in range(count))
 
 
 def code_lattice(code: LinearCode, kplus: int, kminus: int) -> LatticeBasis:
@@ -861,11 +841,36 @@ class LambdaSample:
     expected_size: float
 
 
-def _include(N: int, seed: int, i: int, prob: float) -> bool:
-    # Counter-based draw keyed by (modulus, seed, index): stable across
+def _draw(N: int, seed: int, i: int) -> int:
+    # Counter-based 64-bit draw keyed by (modulus, seed, index): stable across
     # platforms, and no residue's draw depends on another's.
-    digest = hashlib.sha256(f"{N}:{seed}:{i}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64 < prob
+    return int.from_bytes(hashlib.sha256(f"{N}:{seed}:{i}".encode()).digest()[:8], "big")
+
+
+def _draw_bound(N: int, u: int, v: int) -> int:
+    """The least ``x`` in ``[1, 2^64]`` with ``x^v N^u >= 2^(64v)``: a draw is
+    below it iff ``draw / 2^64 < N^(-u/v)``, exactly.
+
+    Unless ``x`` and ``N`` are powers of two, ``x^v N^u`` is not one, so
+    ``v ln x + u ln N - 64 v ln 2`` is not zero; correctly rounded logs give
+    its sign once their error bound falls below it, without the powers."""
+
+    def at_least(x: int) -> bool:
+        if x & (x - 1) == 0 and N & (N - 1) == 0:
+            return v * (x.bit_length() - 1) + u * (N.bit_length() - 1) >= 64 * v
+        prec = 40
+        while True:
+            ln = Context(prec=prec).ln
+            terms = [c * Fraction(ln(y)) for c, y in ((v, x), (u, N), (-64 * v, 2))]
+            if abs(sum(terms)) * 10 ** (prec - 1) > sum(map(abs, terms)):
+                return sum(terms) > 0
+            prec *= 2
+
+    lo, hi = 1, 2**64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if at_least(mid) else (mid + 1, hi)
+    return lo
 
 
 def sample_lambda_splitter(
@@ -877,13 +882,15 @@ def sample_lambda_splitter(
     seed: int,
 ) -> LambdaSample:
     """Sample each residue of Z_N independently with probability
-    N^(1/t - 1 - epsilon) and measure the resulting list size lambda."""
+    N^(1/t - 1 - epsilon), ``epsilon`` read as the decimal it prints as, and
+    measure the resulting list size lambda."""
     if gcd(N, factorial(kplus)) != 1:
         raise DomainError("N must be coprime to kplus!")
     if t < 1 or not 0 < epsilon < 1 / t:
         raise DomainError("need t >= 1 and 0 < epsilon < 1/t")
-    prob = N ** (1 / t - 1 - epsilon)
-    members = [i for i in range(N) if _include(N, seed, i, prob)]
+    exponent = 1 - Fraction(1, t) + Fraction(str(epsilon))  # N^(-exponent)
+    bound = _draw_bound(N, exponent.numerator, exponent.denominator)
+    members = [i for i in range(N) if _draw(N, seed, i) < bound]
     if len(members) < t:
         raise DomainError(
             f"seed {seed} produced only {len(members)} elements; need at least t = {t}"

@@ -139,6 +139,8 @@ class LatticeBasis:
 
 def basis_from_rows(rows: Sequence[Sequence[int]], n: int) -> LatticeBasis:
     """Canonicalise spanning rows (possibly more than n of them) into a basis."""
+    if any(len(row) != n for row in rows):
+        raise DomainError(f"every row must have n = {n} entries")
     H, _, pivots = hermite_normal_form(rows)
     if len(pivots) != n or any(r != c for r, c in pivots):
         raise DomainError("rows do not span a full-rank sublattice of Z^n")
@@ -332,4 +334,6 @@ def verify_covering_geometric(basis: LatticeBasis, ball: BallSpec) -> GeometricR
 
 def density(basis: LatticeBasis, ball: BallSpec) -> Fraction:
     """Exact packing/covering density: ball size over fundamental volume."""
+    if ball.n != basis.n:
+        raise DomainError(f"ball n = {ball.n} != lattice n = {basis.n}")
     return Fraction(ball_size(ball), basis.volume)

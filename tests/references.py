@@ -15,6 +15,10 @@ geometric oracles read their coset labels off the Hermite rows, and the
 covering reference finds its witness by lattice membership against every
 ball point instead.
 
+The package builds the BCH check polynomial ``h`` from the roots of
+``x^n - 1`` that ``g`` leaves out (:func:`magball.bch_code`); the reference
+divides ``x^n - 1`` by ``g``.
+
 The package's B_t and k-fold Sidon searches prune: the root tries 0 alone,
 candidates are bit masks filtered at each node, and a subtree that cannot
 outgrow the largest set seen is skipped.  The unpruned references walk every
@@ -239,6 +243,33 @@ def code_lattice_by_hnf(code: LinearCode) -> LatticeBasis:
     rows = [list(r) for r in code.generator]
     rows.extend([p if i == j else 0 for j in range(n)] for i in range(n))
     return basis_from_rows(rows, n)
+
+
+def _poly_divmod_p(num: list[int], den: list[int], p: int) -> list[int]:
+    """Quotient of num / den over F_p; raises if the division is not exact."""
+    num = [x % p for x in num]
+    den = [x % p for x in den]
+    while den and den[-1] == 0:
+        den.pop()
+    inv_lead = pow(den[-1], -1, p)
+    quot = [0] * (len(num) - len(den) + 1)
+    rem = list(num)
+    for i in range(len(quot) - 1, -1, -1):
+        coef = (rem[i + len(den) - 1] * inv_lead) % p
+        quot[i] = coef
+        if coef:
+            for j, dc in enumerate(den):
+                rem[i + j] = (rem[i + j] - coef * dc) % p
+    if any(rem):
+        raise DomainError("polynomial division was not exact")
+    return quot
+
+
+def bch_check_polynomial_by_division(code: LinearCode) -> list[int]:
+    """``h = (x^n - 1) / g`` by long division, with ``g`` read off the first
+    generator row (whose trailing zeros are the remaining shifts)."""
+    g = list(code.generator[0][: code.n - code.k + 1])
+    return _poly_divmod_p([-1] + [0] * (code.n - 1) + [1], g, code.p)
 
 
 def covering_by_membership(basis: LatticeBasis, ball: BallSpec) -> GeometricReport:

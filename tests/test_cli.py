@@ -371,10 +371,19 @@ class TestBallSource:
         assert captured.out == "" and "carries its own ball" in captured.err
 
     @pytest.mark.parametrize("command", VERIFY_AND_DENSITY)
-    def test_lattice_without_n_is_exit_2(self, artifacts, capsys, command):
-        assert main([*command, "--lattice", artifacts[1], "--t", "2"]) == 2
+    def test_lattice_ball_defaults_to_the_lattice_n(self, artifacts, capsys, command):
+        assert main([*command, "--lattice", artifacts[1], "--t", "2", "--kminus", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["ball"] == {
+            "n": 8, "t": 2, "kplus": 1, "kminus": 1}
+
+    # This printed density 51/729 and exited 0 on density, and exited 2 on verify.
+    @pytest.mark.parametrize("command", VERIFY_AND_DENSITY)
+    def test_n_other_than_the_lattice_n_is_exit_2(self, artifacts, capsys, command):
+        flags = ["--n", "5", "--t", "2", "--kplus", "1", "--kminus", "1"]
+        assert main([*command, "--lattice", artifacts[1], *flags]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "--lattice needs --n" in captured.err
+        assert captured.out == ""
+        assert "--n 5" in captured.err and artifacts[1] in captured.err and "n = 8" in captured.err
 
     @pytest.mark.parametrize("command", VERIFY_AND_DENSITY)
     def test_ball_option_is_gone(self, artifacts, capsys, command):
@@ -428,6 +437,8 @@ class TestMalformedInput:
             (["decode", "--context"], ["modp"]),
             (["decode", "--context"], {"type": "modp"}),
             (["decode", "--context"], {"type": "s2", "q": 4}),
+            # Rows wider than n: this loaded as the identity basis of Z^2.
+            (["density", "--lattice"], {"n": 2, "rows": [[1, 0, 5], [0, 1, 7]], "volume": "1"}),
         ],
     )
     def test_document_of_the_wrong_shape_is_exit_2(self, tmp_path, capsys, command, document):

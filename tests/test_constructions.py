@@ -43,6 +43,7 @@ from magball import constructions
 from magball.cli import main
 from magball.constructions import (
     LinearCode,
+    _draw_bound,
     _floor_ln,
     _sidon_blocked,
     _sidon_relations,
@@ -52,6 +53,7 @@ from magball.constructions import (
 from magball.limits import limits_overridden
 from references import (
     TupleField,
+    bch_check_polynomial_by_division,
     code_lattice_by_hnf,
     search_bt_set_by_recheck,
     search_bt_set_unpruned,
@@ -556,6 +558,20 @@ class TestBch:
             for h in code.parity_check:
                 assert sum(a * b for a, b in zip(g, h)) % 3 == 0
 
+    # (3, 2, 5) pads its defining set; (2, 4, 7) keeps the narrow one and warns.
+    @pytest.mark.filterwarnings("ignore:BCH")
+    @pytest.mark.parametrize("p,m,d", [
+        (3, 2, 5), (3, 5, 5), (2, 8, 9), (2, 4, 5), (2, 4, 7), (2, 6, 5),
+        (3, 3, 5), (5, 2, 5), (7, 2, 3), (2, 7, 7),
+    ])
+    def test_check_polynomial_matches_the_division(self, p, m, d):
+        code = bch_code(p, m, d)
+        h = bch_check_polynomial_by_division(code)
+        assert len(h) == code.k + 1
+        assert code.parity_check == tuple(
+            tuple(([0] * i + h[::-1] + [0] * code.n)[:code.n]) for i in range(code.n - code.k)
+        )
+
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             bch_code(3, 2, 1)
@@ -742,6 +758,17 @@ class TestLambdaSampler:
     def test_epsilon_gate(self):
         with pytest.raises(DomainError):
             sample_lambda_splitter(53, 2, 1, 0, 0.75, seed=1)
+
+    # N = 16 at exponent 3/4 puts the bound 2^64 / 8 exactly on a power of two.
+    @pytest.mark.parametrize("N,t,epsilon", [
+        (53, 2, "0.25"), (1009, 2, "0.25"), (50021, 2, "0.1"), (1000003, 2, "0.02"),
+        (16, 2, "0.25"), (1024, 3, "0.1"), (1009, 3, "0.05"), (7, 1, "0.5"), (101, 2, "0.001"),
+    ])
+    def test_draw_bound_is_the_least_passing_draw(self, N, t, epsilon):
+        exponent = 1 - Fraction(1, t) + Fraction(epsilon)
+        u, v = exponent.numerator, exponent.denominator
+        T = _draw_bound(N, u, v)
+        assert (T - 1) ** v * N**u < 2 ** (64 * v) <= T**v * N**u
 
 
 class TestCrossOracle:

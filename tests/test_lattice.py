@@ -468,6 +468,16 @@ class TestDensity:
         basis = code_lattice(bch_code(3, 2, 5), 1, 1)
         assert density(basis, BallSpec(8, 2, 1, 1)) == Fraction(129, 729)
 
+    def test_ball_of_another_dimension_is_refused(self):
+        basis = code_lattice(bch_code(3, 2, 5), 1, 1)
+        with pytest.raises(DomainError, match="ball n = 5 != lattice n = 8"):
+            density(basis, BallSpec(5, 2, 1, 1))
+
+    def test_rows_of_another_length_are_refused(self):
+        for rows in ([[1, 0, 5], [0, 1, 7]], [[1], [0, 1]]):
+            with pytest.raises(DomainError, match="n = 2 entries"):
+                basis_from_rows(rows, 2)
+
     def test_repetition_code_lattice_tiles(self):
         # The binary [5,1,5] repetition code lattice tiles with B(5,2,1,0).
         from magball.constructions import LinearCode
