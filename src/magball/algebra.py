@@ -4,7 +4,8 @@ Groups are products of cyclic groups ``Z_m1 x ... x Z_mr`` with elements kept
 reduced at all times.  Fields ``F_{p^m}`` are realised as ``F_p[x]/(f)`` for a
 monic primitive ``f``, so the residue class of ``x`` generates the
 multiplicative group; one walk over elements packed into integers gives
-discrete and Zech logarithms, of the field or of a subfield alone.  Inside
+discrete and Zech logarithms, of the field or of a subfield alone, and one
+walk of the classes modulo a subfield gives the logs of ``x + alpha``.  Inside
 the package a field element is its discrete log, with -1 for zero: a product
 adds logs and a sum is one Zech lookup.  Coefficient tuples are only the
 JSON form.  All types are immutable.
@@ -132,11 +133,12 @@ class FieldSpec:
 
     ``modulus`` is the coefficient tuple in ascending degree order, monic of
     degree ``m``.  The package holds an element as its discrete log (-1 for
-    zero) and computes with :func:`_log_mul`, :func:`_log_add` and the tables
-    of :func:`_field_tables`, where ``c_0 + ... + c_{m-1} x^{m-1}`` is the
-    packed integer ``sum c_i p^i``.  Coefficient tuples appear only in
-    :meth:`pack`, :meth:`unpack` and :meth:`power_of_gen`, for the JSON
-    form.
+    zero) and computes with :func:`_log_mul` and :func:`_log_add`, whose Zech
+    logs come from :func:`_field_tables` (the whole field, for the BCH roots)
+    or :func:`_subfield_tables` (a subfield alone, for the Bose-Chowla logs
+    and S2 decoding); ``c_0 + ... + c_{m-1} x^{m-1}`` is packed as the integer
+    ``sum c_i p^i``.  Coefficient tuples appear only in :meth:`pack`,
+    :meth:`unpack` and :meth:`power_of_gen`, for the JSON form.
     """
 
     p: int
@@ -345,6 +347,37 @@ def _subfield_tables(field: FieldSpec, q: int) -> tuple[dict[int, int], dict[int
     return log, zech, tuple(log[c] for c in poly)
 
 
+def _x_plus_subfield_logs(field: FieldSpec, q: int) -> list[int]:
+    """``log(x + alpha)`` for every alpha in :func:`subfield_logs` order, from
+    the subfield tables alone, for a subfield of degree at least 2 below the
+    field.
+
+    The classes of ``F* / F_q*`` form a cyclic group of order
+    ``N = (p^m - 1)/(q - 1)`` generated by the class of x (Singer 1938), so
+    the powers ``x^k``, ``k < N``, meet every class once, each ``x + alpha``
+    among them.
+    The walk keeps ``x^k`` as coefficient logs over ``F_q`` in the basis
+    ``1, y, ...`` of ``F_q[y]/min_poly``, one :func:`_times_y` a step; where
+    ``x^k = c (y + alpha)``, ``log(x + alpha) = k - log c``.  A walk that
+    finds other than q such classes, or whose ``x^N`` is not the subfield's
+    generator, is refused."""
+    _, zech, min_poly = _subfield_tables(field, q)
+    n = field.size - 1
+    N = n // (q - 1)
+    minus_modulus = [_log_mul(n, c, field.minus_one) for c in min_poly[:-1]]
+    found: dict[int, int] = {}
+    hits = 0
+    v = [0] + [-1] * (len(minus_modulus) - 1)
+    for k in range(N):
+        if v[1] >= 0 and max(v[2:], default=-1) < 0:
+            c, hits = v[1], hits + 1
+            found[-1 if v[0] < 0 else (v[0] - c) % n] = (k - c) % n
+        v = _times_y(zech, n, v, minus_modulus)
+    if hits != q or len(found) != q or v != [N % n] + [-1] * (len(v) - 1):
+        raise DomainError("minimal polynomial is degenerate: the walk of x^k over F_q is not a cycle")
+    return [found[alpha] for alpha in subfield_logs(field, q)]
+
+
 # Below the JSON boundary a field element is its discrete log to the base x,
 # with -1 for zero, and n = p^m - 1 is the order of x.
 
@@ -361,6 +394,21 @@ def _log_add(zech: Mapping[int, int] | Sequence[int], n: int, a: int, b: int) ->
         return a
     z = zech[(b - a) % n]
     return -1 if z < 0 else (a + z) % n
+
+
+def _times_y(zech: Mapping[int, int], n: int, v: Sequence[int], minus_modulus: Sequence[int]) -> list[int]:
+    """``y * v`` modulo the monic polynomial whose lower coefficients are the
+    negatives of ``minus_modulus``, for ``v`` of at most that many coefficient
+    logs, low degree first: shift up, then fold the top coefficient ``c`` back
+    as ``c * minus_modulus``."""
+    out = [-1, *v]
+    if len(out) > len(minus_modulus):
+        c = out.pop()
+        if c >= 0:
+            for i, m in enumerate(minus_modulus):
+                if m >= 0:
+                    out[i] = _log_add(zech, n, out[i], (c + m) % n)
+    return out
 
 
 def _poly_from_roots(field: FieldSpec, zech: Mapping[int, int], root_logs: Iterable[int]) -> list[int]:

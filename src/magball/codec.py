@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .algebra import FieldSpec, _log_add, _log_mul, _subfield_tables
+from .algebra import FieldSpec, _log_add, _log_mul, _subfield_tables, _times_y
 from .ball import BallSpec, ball_images, ball_size
 from .constructions import LinearCode, S2Data
 from .errors import DomainError, exact_int, exact_ints
@@ -178,8 +178,13 @@ def _power_of_y(ctx: S2DecoderContext, s: int) -> tuple[list[int], int]:
         r, spent = _poly_mul_mod(zech, n, r, r, minus_modulus)
         count += spent
         if bit == "1":
-            r, spent = _poly_mul_mod(zech, n, r, [-1, 0], minus_modulus)
-            count += spent
+            # Counted as the general product by y counts: one multiplication
+            # per nonzero coefficient, and one per modulus coefficient if the
+            # top one folds back.
+            count += sum(c >= 0 for c in r)
+            if len(r) == len(minus_modulus) and r[-1] >= 0:
+                count += len(minus_modulus)
+            r = _times_y(zech, n, r, minus_modulus)
     return _poly_trim(r), count
 
 

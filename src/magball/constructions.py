@@ -20,8 +20,8 @@ from typing import Sequence
 from .algebra import (
     FieldSpec,
     GroupSpec,
-    _log_add,
     _poly_from_roots,
+    _x_plus_subfield_logs,
     factor_prime_power,
     find_primitive_polynomial,
     is_prime,
@@ -75,9 +75,7 @@ def bose_chowla_s1(q: int, t: int) -> BtSet:
         raise DomainError("need t >= 2")
     p, m = factor_prime_power(q)
     field = find_primitive_polynomial(p, m * t)
-    n, zech = field.size - 1, field.tables()[2]
-    logs = [_log_add(zech, n, 1, alpha) for alpha in subfield_logs(field, q)]
-    return BtSet(n, tuple(sorted(logs)), t)
+    return BtSet(field.size - 1, tuple(sorted(_x_plus_subfield_logs(field, q))), t)
 
 
 def bose_chowla_s2(q: int, t: int) -> S2Data:
@@ -87,15 +85,11 @@ def bose_chowla_s2(q: int, t: int) -> S2Data:
         raise DomainError("need t >= 2")
     p, m = factor_prime_power(q)
     field = find_primitive_polynomial(p, m * (t + 1))
-    n, zech = field.size - 1, field.tables()[2]
-    N = n // (q - 1)
+    N = (field.size - 1) // (q - 1)
     alphas = tuple(subfield_logs(field, q))
-    svals = []
-    betas = []
-    for alpha in alphas:
-        d = _log_add(zech, n, 1, alpha)  # log(eta + alpha), eta = x
-        svals.append(d % N)
-        betas.append(d - d % N)
+    logs = _x_plus_subfield_logs(field, q)  # log(eta + alpha), eta = x
+    svals = [d % N for d in logs]
+    betas = [d - d % N for d in logs]
     elements = set(svals) | {0}
     if len(elements) != q + 1:
         raise DomainError("degenerate S2 data: s-values are not distinct and nonzero")

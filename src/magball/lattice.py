@@ -111,7 +111,7 @@ class LatticeBasis:
             raise DomainError("basis must be a square n x n matrix")
         product = 1
         for i, row in enumerate(self.rows):
-            if row[i] <= 0 or any(row[j] for j in range(i)):
+            if row[i] <= 0 or any(row[:i]):
                 raise DomainError("rows must be in upper-triangular Hermite form")
             product *= row[i]
         if self.volume != product:
@@ -213,8 +213,13 @@ def _chain_kernel(moduli: Sequence[int], columns: Sequence[Sequence[int]]) -> La
     volume = prod(rows[i][i] for i in range(n))
     if volume * prod(B[k][k] for k in range(r)) != prod(moduli):
         raise DomainError("kernel volume disagrees with the subgroup chain")
-    dense = tuple(tuple(rows[i].get(j, 0) for j in range(n)) for i in range(n))
-    return LatticeBasis(n, dense, volume)
+    dense = []
+    for i in range(n):
+        row = [0] * n
+        for j, h in rows[i].items():
+            row[j] = h
+        dense.append(tuple(row))
+    return LatticeBasis(n, tuple(dense), volume)
 
 
 def lattice_contains(basis: LatticeBasis, v: Sequence[int]) -> bool:

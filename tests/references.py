@@ -34,7 +34,11 @@ way (:func:`magball.decode_s2`); the references keep coefficient tuples,
 multiply them schoolbook modulo the field polynomial, take logs from a power
 table walked one multiplication by x at a time, read the package's logs back
 as powers of x by square-and-multiply, and decode with that tuple
-arithmetic, counting the same field operations.
+arithmetic, counting the same field operations.  The package reads the
+Bose-Chowla logs ``log(x + alpha)`` off one walk of the classes of
+``F* / F_q*`` and steps the decoder's powers of y by a shift and a fold; the
+references look each log up in the whole field's Zech table and step by the
+general polynomial product.
 
 The package computes a mod-p syndrome as one integer dot product over
 columns of ``H`` packed into bit fields (:meth:`magball.LinearCode.syndrome`);
@@ -62,7 +66,8 @@ from magball import (
     is_bt_set,
     is_kfold_sidon,
 )
-from magball.codec import OpCounter
+from magball.algebra import _field_tables, _log_add, subfield_logs
+from magball.codec import OpCounter, _poly_mul_mod, _poly_trim
 from magball.constructions import _sidon_relations
 from magball.lattice import (
     GeometricReport,
@@ -496,6 +501,28 @@ def mul_mod(p: int, modulus: tuple[int, ...], a: FieldElement, b: FieldElement) 
             for i in range(m):
                 out[top - m + i] -= c * modulus[i]
     return tuple(c % p for c in out[:m])
+
+
+def x_plus_subfield_logs_by_table(field: FieldSpec, q: int) -> list[int]:
+    """``log(x + alpha)`` for every alpha in ``subfield_logs`` order, by one
+    Zech lookup each in the whole field's tables.  The tables are built
+    uncached, so a sweep over many fields holds one at a time."""
+    n, zech = field.size - 1, _field_tables.__wrapped__(field)[2]
+    return [_log_add(zech, n, 1, alpha) for alpha in subfield_logs(field, q)]
+
+
+def power_of_y_by_general_product(ctx: S2DecoderContext, s: int) -> tuple[list[int], int]:
+    """``y^s mod min_poly`` as the decoder computes it, with each step by y a
+    general product by ``[0, 1]``, and the field multiplications spent."""
+    n, zech, minus_modulus = ctx.field.size - 1, ctx.zech, ctx.minus_modulus
+    r, count = [0], 0
+    for bit in bin(s)[2:] if s else "":
+        r, spent = _poly_mul_mod(zech, n, r, r, minus_modulus)
+        count += spent
+        if bit == "1":
+            r, spent = _poly_mul_mod(zech, n, r, [-1, 0], minus_modulus)
+            count += spent
+    return _poly_trim(r), count
 
 
 def power_table(field: FieldSpec) -> tuple[list[FieldElement], dict[FieldElement, int]]:

@@ -24,12 +24,14 @@ from magball import (
     kernel_lattice,
     lattice_contains,
 )
+from magball.codec import _power_of_y
 from magball.errors import ResourceLimitError
 from magball.limits import limits_overridden
 from references import (
     TupleField,
     decode_s2_by_tuples,
     min_poly_by_tuples,
+    power_of_y_by_general_product,
     s2_splitter_set,
     syndrome,
 )
@@ -224,8 +226,8 @@ class TestS2AgainstTuples:
         data = bose_chowla_s2(q, t)
         _assert_decodes_as_the_tuple_decoder(S2DecoderContext.from_s2(data), data)
 
-    # The construction needs the whole field's tables; loading its context
-    # and decoding need only the subfield of size q.
+    # Loading a context and decoding need only the subfield of size q, as the
+    # construction does (tests/test_constructions.py::TestBoseChowlaLogs).
     @pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 16, 27])
     @pytest.mark.parametrize("t", [2, 3])
     def test_a_loaded_context_decodes_without_the_field_tables(self, q, t, monkeypatch):
@@ -237,6 +239,14 @@ class TestS2AgainstTuples:
         monkeypatch.setattr(magball.algebra, "_field_tables", refused)
         ctx = S2DecoderContext.from_json(S2DecoderContext.from_s2(data).to_json())
         _assert_decodes_as_the_tuple_decoder(ctx, data)
+
+    # The decoder steps by y with a shift and a fold; every power it can be
+    # asked for must come out as by the general product, op count included.
+    @pytest.mark.parametrize("q,t", [(4, 2), (16, 3)])
+    def test_y_step_matches_the_general_product(self, q, t):
+        ctx = S2DecoderContext.from_s2(bose_chowla_s2(q, t))
+        for s in range(ctx.N):
+            assert _power_of_y(ctx, s) == power_of_y_by_general_product(ctx, s), s
 
 
 @st.composite

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 import tracemalloc
 from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd, log
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -39,7 +42,15 @@ from magball import (
     verify_covering_geometric,
     verify_packing_geometric,
 )
+import magball.algebra
 from magball import constructions
+from magball.algebra import (
+    _subfield_tables,
+    _x_plus_subfield_logs,
+    factor_prime_power,
+    find_primitive_polynomial,
+    subfield_logs,
+)
 from magball.cli import main
 from magball.constructions import (
     LinearCode,
@@ -61,6 +72,7 @@ from references import (
     search_kfold_sidon_unpruned,
     subgroup_order,
     trivial_solution_by_partitions,
+    x_plus_subfield_logs_by_table,
 )
 
 
@@ -111,6 +123,79 @@ class TestBtSets:
     def test_search_finds_the_canonical_set(self):
         bt, reached = search_bt_set(8, 2, 3)
         assert reached and bt.elements == (0, 1, 3)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _prime_power(q):
+    try:
+        return factor_prime_power(q)
+    except DomainError:
+        return None
+
+
+# Every Bose-Chowla field of size at most 2^16: F_(q^t) for s1 at (q, t), and
+# for s2 at (q, t - 1) once t >= 3.
+BC_FIELDS = [(q, t) for q in range(2, 257) if _prime_power(q)
+             for t in range(2, 17) if q**t <= 2**16]
+
+
+class TestBoseChowlaLogs:
+    @pytest.mark.parametrize("q,t", BC_FIELDS)
+    def test_walk_matches_the_field_table(self, q, t):
+        p, k = factor_prime_power(q)
+        field = find_primitive_polynomial(p, k * t)
+        logs = x_plus_subfield_logs_by_table(field, q)
+        assert _x_plus_subfield_logs(field, q) == logs
+        assert bose_chowla_s1(q, t).elements == tuple(sorted(logs))
+        if t >= 3:
+            data = bose_chowla_s2(q, t - 1)
+            assert data.field == field and data.alphas == tuple(subfield_logs(field, q))
+            assert data.svals == tuple(d % data.N for d in logs)
+            assert data.betas == tuple(d - d % data.N for d in logs)
+
+    def test_sweep_covers_the_edge_cases(self):
+        assert {(2, 16), (13, 2), (13, 3), (13, 4), (16, 4), (256, 2)} <= set(BC_FIELDS)
+        assert len(BC_FIELDS) == 126
+
+    # A constant term of zero makes y a zero divisor; another nonzero one
+    # changes the norm x^N (F_2 has no other nonzero constant).
+    @pytest.mark.parametrize("q,t,corrupt", [
+        *((q, t, "zero") for q, t in [(2, 2), (2, 5), (3, 3), (4, 2), (13, 2), (13, 4), (16, 3)]),
+        *((q, t, "scaled") for q, t in [(3, 3), (4, 2), (13, 2), (13, 4), (16, 3)]),
+    ])
+    def test_corrupted_minimal_polynomial_is_refused(self, q, t, corrupt, monkeypatch):
+        p, k = factor_prime_power(q)
+        field = find_primitive_polynomial(p, k * t)
+        log, zech, min_poly = _subfield_tables(field, q)
+        n = field.size - 1
+        constant = -1 if corrupt == "zero" else (min_poly[0] + n // (q - 1)) % n
+        monkeypatch.setattr(magball.algebra, "_subfield_tables",
+                            lambda f, size: (log, zech, (constant, *min_poly[1:])))
+        with pytest.raises(DomainError, match="degenerate"):
+            _x_plus_subfield_logs(field, q)
+
+    def test_constructs_build_no_field_tables(self, tmp_path, monkeypatch):
+        def refused(field):
+            raise AssertionError(f"the tables of F_{field.p}^{field.m} were built")
+
+        monkeypatch.setattr(magball.algebra, "_field_tables", refused)
+        s1, s2 = bose_chowla_s1(256, 2), bose_chowla_s2(16, 3)
+        assert (s1.N, len(s1.elements), s2.N, len(s2.bt.elements)) == (65535, 256, 4369, 17)
+        pins = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))["jobs"]
+        for prefix, variant in [("bc10-q256", ["--q", "256", "--t", "2"]),
+                                ("s2-q16-t3", ["--q", "16", "--t", "3", "--variant", "s2"])]:
+            assert main(["construct", "--family", "bose-chowla-10", *variant,
+                         "--out-dir", str(tmp_path), "--prefix", prefix]) == 0
+            digests = pins[f"{prefix}.construct"]["digests"]
+            assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in digests} == digests
+
+    def test_s2_past_the_field_size_limit_is_exit_2(self, tmp_path, capsys):
+        assert main(["construct", "--family", "bose-chowla-10", "--q", "1024", "--t", "2",
+                     "--variant", "s2", "--out-dir", str(tmp_path)]) == 2
+        assert "field_size" in capsys.readouterr().err
 
 
 class TestBtSplitters:
