@@ -13,7 +13,6 @@ JSON form.  All types are immutable.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -21,7 +20,7 @@ from math import isqrt
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, exact_int, exact_ints, is_int_list
-from .limits import check
+from .limits import check, check_power
 
 
 @dataclass(frozen=True)
@@ -134,11 +133,11 @@ class FieldSpec:
     ``modulus`` is the coefficient tuple in ascending degree order, monic of
     degree ``m``.  The package holds an element as its discrete log (-1 for
     zero) and computes with :func:`_log_mul` and :func:`_log_add`, whose Zech
-    logs come from :func:`_field_tables` (the whole field, for the BCH roots)
-    or :func:`_subfield_tables` (a subfield alone, for the Bose-Chowla logs
-    and S2 decoding); ``c_0 + ... + c_{m-1} x^{m-1}`` is packed as the integer
-    ``sum c_i p^i``.  Coefficient tuples appear only in :meth:`pack`,
-    :meth:`unpack` and :meth:`power_of_gen`, for the JSON form.
+    logs come from :func:`_subfield_tables`: of a subfield alone for the
+    Bose-Chowla logs and S2 decoding, of the whole field, its own subfield of
+    size ``p^m``, for the BCH roots.  ``c_0 + ... + c_{m-1} x^{m-1}`` is
+    packed as the integer ``sum c_i p^i``.  Coefficient tuples appear only in
+    :meth:`pack` and :meth:`unpack`, for the JSON form.
     """
 
     p: int
@@ -147,10 +146,11 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modulus", tuple(self.modulus))
-        if not is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
         if self.m < 1 or len(self.modulus) != self.m + 1 or self.modulus[-1] != 1:
             raise DomainError("modulus must be monic of degree m")
+        check_power("field_size", self.p, self.m)  # bounds the trial division of p
+        if not is_prime(self.p):
+            raise DomainError(f"{self.p} is not prime")
         if not all(0 <= c < self.p for c in self.modulus):
             raise DomainError(f"modulus coefficients must lie in [0, {self.p})")
 
@@ -172,13 +172,6 @@ class FieldSpec:
 
     def unpack(self, v: int) -> tuple[int, ...]:
         return tuple(v // self.p**i % self.p for i in range(self.m))
-
-    def tables(self) -> tuple[array, array, array]:
-        """The ``(exp, log, zech)`` tables of :func:`_field_tables`."""
-        return _field_tables(self)
-
-    def power_of_gen(self, e: int) -> tuple[int, ...]:
-        return self.unpack(_field_tables(self)[0][e % (self.size - 1)])
 
     def to_json(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
@@ -244,10 +237,12 @@ def _x_power(times_x: Callable[[int], int], mul: Callable[[int, int], int], e: i
     return acc
 
 
+@lru_cache(maxsize=None)
 def _is_primitive(p: int, modulus: tuple[int, ...]) -> bool:
     """Whether x has order exactly ``N = p^m - 1`` mod ``modulus``: ``x^N = 1``
     and ``x^(N/r) != 1`` for every prime ``r | N`` (Lidl & Niederreiter,
-    Thm 3.18), with the primes found by trial division."""
+    Thm 3.18), with the primes found by trial division.  Cached: the tables
+    of a field retest the modulus its search has just certified."""
     times_x, mul, _ = _packed_ring(p, modulus)
     N = rest = p ** (len(modulus) - 1) - 1
     exponents = []
@@ -270,11 +265,11 @@ def find_primitive_polynomial(p: int, m: int) -> FieldSpec:
     if x has multiplicative order p^m - 1 then the residue ring has p^m - 1
     units and hence no zero divisors.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
     if m < 1:
         raise DomainError("degree must be >= 1")
-    check("field_size", p**m)
+    check_power("field_size", p, m)
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     for desc in product(range(p), repeat=m):
         # desc = (c_{m-1}, ..., c_1, c_0); constant term last
         if desc[-1] == 0:
@@ -283,32 +278,6 @@ def find_primitive_polynomial(p: int, m: int) -> FieldSpec:
         if _is_primitive(p, modulus):
             return FieldSpec(p, m, modulus)
     raise DomainError(f"no primitive polynomial of degree {m} over F_{p}")
-
-
-@lru_cache(maxsize=None)
-def _field_tables(spec: FieldSpec) -> tuple[array, array, array]:
-    """Built once per field, over the ``N = p^m - 1`` powers of x:
-    ``exp[k]`` is ``x^k`` packed, ``log`` maps a packed element back to its
-    exponent (-1 at zero), and ``zech[k]`` is the Zech logarithm
-    ``log(1 + x^k)`` (-1 where ``1 + x^k = 0``), so that
-    ``x^a + x^b = x^(a + zech[b - a])``.  Gated by the field_size limit."""
-    check("field_size", spec.size)
-    p, n = spec.p, spec.size - 1
-    times_x, _, _ = _packed_ring(p, spec.modulus)
-    exp = array("l", [0]) * n
-    log = array("l", [-1]) * spec.size
-    v = 1
-    for k in range(n):
-        exp[k] = v
-        log[v] = k
-        v = times_x(v)
-    # x is primitive exactly when its first n powers are distinct and nonzero
-    # and the next is 1 again.
-    if v != 1 or log.count(-1) != 1:
-        raise DomainError("modulus is not primitive: power table is degenerate")
-    # Adding 1 changes only the constant digit.
-    zech = array("l", (log[v - v % p + (v + 1) % p] for v in exp))
-    return exp, log, zech
 
 
 def subfield_logs(field: FieldSpec, q: int) -> list[int]:

@@ -254,7 +254,9 @@ _LATTICE_BALL_DEFAULTS = {"t": 1, "kplus": 1, "kminus": 0}
 def _load_artifact(args) -> tuple[SplitterSet | LatticeBasis, BallSpec]:
     """The splitter set or lattice named on the command line, with its ball:
     a splitter set's own, or the one the ball flags give a lattice."""
-    if bool(args.splitter) == bool(args.lattice):
+    if not (args.splitter or args.lattice):
+        raise DomainError("pass --splitter or --lattice: neither was given")
+    if args.splitter and args.lattice:
         # A command derives the lattice of a splitter from the splitter, so a
         # second lattice could only be ignored or checked as an unrelated object.
         raise DomainError("pass --splitter or --lattice, not both")

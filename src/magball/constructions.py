@@ -21,6 +21,7 @@ from .algebra import (
     FieldSpec,
     GroupSpec,
     _poly_from_roots,
+    _subfield_tables,
     _x_plus_subfield_logs,
     factor_prime_power,
     find_primitive_polynomial,
@@ -30,7 +31,7 @@ from .algebra import (
 from .ball import BallSpec, ball_size
 from .errors import DomainError, OracleDisagreement, exact_int, exact_ints
 from .lattice import LatticeBasis, _chain_kernel
-from .limits import check
+from .limits import check, check_power
 from .splitting import MagnitudeSet, SplitReport, SplitterSet, multiplicity_histogram
 
 
@@ -73,6 +74,7 @@ def bose_chowla_s1(q: int, t: int) -> BtSet:
     """B_t set of size q inside Z_{q^t - 1}, from discrete logs of x + alpha."""
     if t < 2:
         raise DomainError("need t >= 2")
+    check_power("field_size", q, t)  # bounds the trial division of q
     p, m = factor_prime_power(q)
     field = find_primitive_polynomial(p, m * t)
     return BtSet(field.size - 1, tuple(sorted(_x_plus_subfield_logs(field, q))), t)
@@ -83,6 +85,7 @@ def bose_chowla_s2(q: int, t: int) -> S2Data:
     subfield factorisations used by the decoder."""
     if t < 2:
         raise DomainError("need t >= 2")
+    check_power("field_size", q, t + 1)  # bounds the trial division of q
     p, m = factor_prime_power(q)
     field = find_primitive_polynomial(p, m * (t + 1))
     N = (field.size - 1) // (q - 1)
@@ -510,13 +513,16 @@ def behrend_ruzsa_splitter(
     if kplus > 3:
         raise DomainError("kplus <= 3 is required; the square/nonresidue "
                           "dichotomy for coefficient products fails beyond it")
+    check("group_order", (3 * kplus + 2 * kminus + 1) * p * p)  # bounds the trial division of p
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p % 12 not in (5, 7):
         raise DomainError(f"{p} is not congruent to +-5 mod 12")
     alpha = max(2 * kplus * kplus, 3)
-    if (alpha * K + 1) ** D > p:
-        raise DomainError(f"(alpha K + 1)^D = {(alpha * K + 1) ** D} exceeds p = {p}")
+    base = alpha * K + 1
+    # base >= 4 once K >= 1, so D >= log2 p alone puts base^D past p.
+    if K >= 1 and D >= p.bit_length() or base**D > p:
+        raise DomainError(f"(alpha K + 1)^D = {base}^{D} exceeds p = {p}")
     classes = behrend_sphere_sets(D, K, alpha)
     best_size = max(len(xs) for xs in classes.values())
     best_m = min(m for m, xs in classes.items() if len(xs) == best_size)
@@ -656,9 +662,9 @@ def bch_code(p: int, m: int, d: int) -> LinearCode:
     the smallest-representative unused cosets that fit the gap exactly, which
     keeps the code cyclic and cannot decrease the distance.
     """
+    n = check_power("field_size", p, m) - 1  # bounds the trial division of p
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    n = p**m - 1
     if not 2 <= d <= n:
         raise DomainError(f"designed distance must be in [2, {n}]")
     field = find_primitive_polynomial(p, m)
@@ -699,15 +705,15 @@ def bch_code(p: int, m: int, d: int) -> LinearCode:
 
 
 def _generator_from_roots(field: FieldSpec, exponents: Sequence[int]) -> tuple[int, ...]:
-    """prod (x - xi^j) as a polynomial over the prime field, whose nonzero
-    elements are the powers of xi^((p^m - 1)/(p - 1))."""
-    step = (field.size - 1) // (field.p - 1)
-    out = []
-    for c in _poly_from_roots(field, field.tables()[2], exponents):
-        if c >= 0 and c % step:
-            raise DomainError("generator polynomial left the prime field")
-        out.append(field.power_of_gen(c)[0] if c >= 0 else 0)
-    return tuple(out)
+    """prod (x - xi^j) as a polynomial over the prime field, multiplied out on
+    the logs of the field taken as its own subfield.  An element c of F_p is
+    packed as c, so the walk's logs of 0..p-1 map each coefficient back."""
+    log, zech, _ = _subfield_tables(field, field.size)
+    prime = {log[c]: c for c in range(field.p)}
+    poly = _poly_from_roots(field, zech, exponents)
+    if any(c not in prime for c in poly):
+        raise DomainError("generator polynomial left the prime field")
+    return tuple(prime[c] for c in poly)
 
 
 def _shifts(poly: Sequence[int], n: int, count: int) -> tuple[tuple[int, ...], ...]:
@@ -739,10 +745,11 @@ def covering_base_split(p: int, m: int, kplus: int, kminus: int) -> SplitterSet:
     """Complete (in fact tiling) 1-split of Z_{p^m} by the set of residues
     whose least significant nonzero base-p digit is 1, with coefficients
     [-kminus, p-1-kminus]*."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
     if m < 1:
         raise DomainError("need m >= 1")
+    order = check_power("group_order", p, m)  # bounds the trial division of p
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     if p > kplus + kminus + 1:
         raise DomainError("need p <= kplus + kminus + 1 so coefficients stay in range")
     kp_eff = p - 1 - kminus
@@ -750,8 +757,6 @@ def covering_base_split(p: int, m: int, kplus: int, kminus: int) -> SplitterSet:
         raise DomainError(
             "need p >= 2 kminus + 1 for a well-formed coefficient interval"
         )
-    order = p**m
-    check("group_order", order)
     members = []
     for a in range(1, order):
         r = a
@@ -773,6 +778,7 @@ def product_splitter(base: SplitterSet, t: int) -> SplitterSet:
         raise DomainError("product construction needs a 1-split as its base")
     if t < 1:
         raise DomainError("need t >= 1")
+    check_power("group_order", base.group.order, t)  # before the t copies are built
     if t == 1:
         return base
     moduli = base.group.moduli * t

@@ -82,8 +82,27 @@ def limits_overridden(**kwargs: int):
         _current = previous
 
 
+def _show(value: int) -> str:
+    """``value`` in decimal, or its bit length past 2,000 bits: Python prints
+    no int of more than ``sys.get_int_max_str_digits()`` digits, which is
+    never below 640."""
+    return str(value) if value.bit_length() <= 2000 else f"of {value.bit_length()} bits"
+
+
 def check(kind: str, value: int) -> None:
     """Raise unless ``value`` fits under the limit named ``kind``."""
     bound = getattr(get_limits(), kind)
     if value > bound:
-        raise ResourceLimitError(f"{kind} workload {value} exceeds limit {bound}")
+        raise ResourceLimitError(f"{kind} workload {_show(value)} exceeds limit {bound}")
+
+
+def check_power(kind: str, base: int, exponent: int) -> int:
+    """``base ** exponent`` once it fits under the limit named ``kind``.  A
+    power that the exponent alone puts past the limit is refused without
+    being computed."""
+    bound = getattr(get_limits(), kind)
+    if base > 1 and exponent >= bound.bit_length():  # base^e >= 2^e > bound
+        raise ResourceLimitError(f"{kind} workload {_show(base)}^{exponent} exceeds limit {bound}")
+    value = base**exponent
+    check(kind, value)
+    return value

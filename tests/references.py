@@ -37,8 +37,8 @@ as powers of x by square-and-multiply, and decode with that tuple
 arithmetic, counting the same field operations.  The package reads the
 Bose-Chowla logs ``log(x + alpha)`` off one walk of the classes of
 ``F* / F_q*`` and steps the decoder's powers of y by a shift and a fold; the
-references look each log up in the whole field's Zech table and step by the
-general polynomial product.
+references look each log up in the whole field's tuple power table and step
+by the general polynomial product.
 
 The package computes a mod-p syndrome as one integer dot product over
 columns of ``H`` packed into bit fields (:meth:`magball.LinearCode.syndrome`);
@@ -66,7 +66,7 @@ from magball import (
     is_bt_set,
     is_kfold_sidon,
 )
-from magball.algebra import _field_tables, _log_add, subfield_logs
+from magball.algebra import subfield_logs
 from magball.codec import OpCounter, _poly_mul_mod, _poly_trim
 from magball.constructions import _sidon_relations
 from magball.lattice import (
@@ -504,11 +504,12 @@ def mul_mod(p: int, modulus: tuple[int, ...], a: FieldElement, b: FieldElement) 
 
 
 def x_plus_subfield_logs_by_table(field: FieldSpec, q: int) -> list[int]:
-    """``log(x + alpha)`` for every alpha in ``subfield_logs`` order, by one
-    Zech lookup each in the whole field's tables.  The tables are built
-    uncached, so a sweep over many fields holds one at a time."""
-    n, zech = field.size - 1, _field_tables.__wrapped__(field)[2]
-    return [_log_add(zech, n, 1, alpha) for alpha in subfield_logs(field, q)]
+    """``log(x + alpha)`` for every alpha in ``subfield_logs`` order, each
+    ``x + alpha`` summed on tuples and looked up in the whole field's power
+    table.  The table is built per call, so a sweep over many fields holds
+    one at a time."""
+    ref, (_, log) = TupleField(field), power_table(field)
+    return [log[ref.add(ref.gen, ref.from_log(alpha))] for alpha in subfield_logs(field, q)]
 
 
 def power_of_y_by_general_product(ctx: S2DecoderContext, s: int) -> tuple[list[int], int]:
@@ -624,6 +625,52 @@ def min_poly_by_tuples(field: FieldSpec, q: int, degree: int) -> list[FieldEleme
         poly = nxt
         conj = f.pow(conj, q)
     return poly
+
+
+def generator_from_roots_by_tuples(field: FieldSpec, exponents: Sequence[int]) -> tuple[int, ...]:
+    """``prod (y - x^j)`` over the exponents, as a polynomial over F_p, for
+    exponents that are a union of cyclotomic cosets ``{j, pj, p^2 j, ...}``
+    mod ``n = p^m - 1``.  Each coset's factor is multiplied out on
+    coefficient tuples; it is the minimal polynomial of ``x^j``, so its
+    coefficients must lie in F_p.  The factors of the fewer roots, the
+    exponents or the rest, are multiplied as integer polynomials mod p; the
+    rest's product is ``y^n - 1``, the product over every j, divided by it."""
+    f, n, p = TupleField(field), field.size - 1, field.p
+    powers = power_table(field)[0]
+    exponents = set(exponents)
+    left = exponents if 2 * len(exponents) <= n else set(range(n)) - exponents
+    out = [1]
+    while left:
+        coset, k = set(), min(left)
+        while k not in coset:
+            coset.add(k)
+            k = k * p % n
+        if not coset <= left:
+            raise DomainError(f"exponents hold part of the cyclotomic coset {sorted(coset)}")
+        left -= coset
+        factor = [f.one]
+        for k in coset:
+            factor = [f.sub(hi, f.mul(lo, powers[k]))
+                      for hi, lo in zip([f.zero, *factor], [*factor, f.zero])]
+        if any(any(c[1:]) for c in factor):
+            raise DomainError("a coset's factor left the prime field")
+        prod_ = [0] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            for j, c in enumerate(factor):
+                prod_[i + j] += a * c[0]
+        out = [c % p for c in prod_]
+    if 2 * len(exponents) <= n:
+        return tuple(out)
+    # y^n - 1 = quotient * out, long division by the monic out from the top.
+    rest, quotient = [p - 1] + [0] * (n - 1) + [1], []
+    for top in range(n, len(out) - 2, -1):
+        c = rest[top]
+        quotient.append(c)
+        for i, a in enumerate(out):
+            rest[top - len(out) + 1 + i] = (rest[top - len(out) + 1 + i] - c * a) % p
+    if any(rest):
+        raise DomainError("y^n - 1 left a remainder")
+    return tuple(reversed(quotient))
 
 
 def decode_s2_by_tuples(

@@ -128,8 +128,9 @@ class TestPrimitivePolynomials:
 
 
 def _log(field, e):
-    """The exponent d with x^d = e, or -1 for zero, read off the field's tables."""
-    return field.tables()[1][field.pack(e)]
+    """The exponent d with x^d = e, or -1 for zero, read off the tables of the
+    field taken as its own subfield."""
+    return _subfield_tables(field, field.size)[0][field.pack(e)]
 
 
 class TestDiscreteLog:
@@ -143,17 +144,18 @@ class TestDiscreteLog:
         # Zero is no power of x: its log is -1, which absorbs products.
         f = find_primitive_polynomial(2, 2)
         assert _log(f, (0, 0)) == -1
-        assert (0, 0) not in {f.power_of_gen(d) for d in range(3)}
+        assert (0, 0) not in {TupleField(f).from_log(d) for d in range(3)}
         assert _log_mul(3, -1, 2) == _log_mul(3, 2, -1) == -1
 
     @pytest.mark.parametrize("p,m", [(2, 8), (3, 4), (7, 2)])
     def test_bijection_and_inverse(self, p, m):
         f = find_primitive_polynomial(p, m)
+        ref = TupleField(f)
         seen = set()
         e = (1,) + (0,) * (m - 1)
         for _ in range(p**m - 1):
             d = _log(f, e)
-            assert f.power_of_gen(d) == e
+            assert ref.from_log(d) == e
             seen.add(d)
             e = mul_by_x(p, f.modulus, e)
         assert seen == set(range(p**m - 1))
@@ -183,23 +185,23 @@ class TestPackedFieldAgainstTuples:
     def test_operations_agree(self, case):
         (p, m), a, b, e = case
         field, ref, (powers, log) = _tuple_reference(p, m)
-        n, zech = field.size - 1, field.tables()[2]
+        n, (packed_log, zech, _) = field.size - 1, _subfield_tables(field, field.size)
         la, lb = _log(field, a), _log(field, b)
         assert la == log.get(a, -1) and lb == log.get(b, -1)
         assert ref.from_log(_log_mul(n, la, lb)) == ref.mul(a, b)
         assert ref.from_log(_log_add(zech, n, la, lb)) == ref.add(a, b)
-        assert field.power_of_gen(e) == powers[e % n]
+        assert packed_log[field.pack(powers[e % n])] == e % n
 
     @pytest.mark.parametrize("p,m", SMALL_FIELDS + [(2, m) for m in (4, 6, 7, *range(9, 13), 16)])
     def test_tables_match_the_power_table(self, p, m):
         field, ref, (powers, log) = _tuple_reference(p, m)
-        exp, packed_log, zech = field.tables()
-        assert [field.unpack(v) for v in exp] == powers
-        assert [packed_log[field.pack(e)] for e in powers] == list(range(field.size - 1))
-        assert packed_log[0] == -1
+        packed_log, zech, min_poly = _subfield_tables(field, field.size)
+        assert packed_log == {0: -1, **{field.pack(e): k for k, e in enumerate(powers)}}
         # zech[k] = log(1 + x^k), -1 where that sum is zero
-        assert list(zech) == [log.get(ref.add(ref.one, e), -1) for e in powers]
+        assert zech == {k: log.get(ref.add(ref.one, e), -1) for k, e in enumerate(powers)}
         assert powers[field.minus_one] == ref.neg(ref.one)
+        # Over the field itself, the minimal polynomial of x is y - x.
+        assert list(map(ref.from_log, min_poly)) == [ref.neg(ref.gen), ref.one]
 
     @given(st.sampled_from(SMALL_FIELDS), st.data())
     def test_poly_from_roots_matches_the_tuple_product(self, pm, data):
@@ -211,7 +213,7 @@ class TestPackedFieldAgainstTuples:
             root = ref.from_log(r)
             expected = [ref.sub(hi, ref.mul(lo, root))
                         for hi, lo in zip([ref.zero, *expected], [*expected, ref.zero])]
-        got = _poly_from_roots(field, field.tables()[2], roots)
+        got = _poly_from_roots(field, _subfield_tables(field, field.size)[1], roots)
         assert [ref.from_log(c) for c in got] == expected
 
     @pytest.mark.parametrize(
@@ -236,8 +238,8 @@ class TestPackedFieldAgainstTuples:
                                            (2, (1, 1, 1, 1, 1)), (3, (1, 0, 1))])
     def test_non_primitive_modulus_is_rejected_at_table_build(self, p, modulus):
         field = FieldSpec(p, len(modulus) - 1, modulus)
-        with pytest.raises(DomainError, match="not primitive: power table is degenerate"):
-            field.tables()
+        with pytest.raises(DomainError, match="modulus is not primitive"):
+            _subfield_tables(field, field.size)
 
     # Each is a primitive modulus with one coefficient off by a multiple of p.
     @pytest.mark.parametrize("p,modulus", [(2, (1, 3, 1)), (2, (3, 1, 0, 1)), (2, (1, -1, 1)),
@@ -352,11 +354,11 @@ class TestPrimitives:
                                        (2, 6, 8), (2, 6, 64), (5, 2, 5), (3, 4, 9), (7, 3, 7)])
     def test_subfield_tables_match_the_field_tables(self, p, m, q):
         f = find_primitive_polynomial(p, m)
-        exp, _, zech = f.tables()
+        ref, (powers, log) = TupleField(f), power_table(f)
         logs = subfield_logs(f, q)[1:]
         sub_log, sub_zech, min_poly = _subfield_tables(f, q)
-        assert sub_log == {0: -1, **{exp[k]: k for k in logs}}
-        assert sub_zech == {k: zech[k] for k in logs}
+        assert sub_log == {0: -1, **{f.pack(powers[k]): k for k in logs}}
+        assert sub_zech == {k: log.get(ref.add(ref.one, powers[k]), -1) for k in logs}
         degree = m // factor_prime_power(q)[1]
         assert list(map(TupleField(f).from_log, min_poly)) == min_poly_by_tuples(f, q, degree)
 

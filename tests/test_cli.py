@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ import magball.algebra
 import magball.lattice
 from magball.algebra import FieldSpec
 from magball.cli import FAMILIES, build_parser, main
+from magball.errors import ResourceLimitError
+from magball.limits import check
+from references import TupleField
 
 # The directory holding the ``magball`` package these tests imported.  A
 # relative ``PYTHONPATH`` entry such as ``src`` does not survive the child's
@@ -19,7 +23,7 @@ from magball.cli import FAMILIES, build_parser, main
 PACKAGE_ROOT = str(Path(magball.__file__).resolve().parent.parent)
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -28,6 +32,7 @@ def run_cli(args, cwd):
         text=True,
         cwd=cwd,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -215,6 +220,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "not both" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("argv", [["verify", "--kind", "packing"], ["density"]])
+    def test_neither_splitter_nor_lattice_is_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: pass --splitter or --lattice: neither was given\n"
+        assert captured.out == ""
+
     def test_limits_do_not_outlast_the_call(self, tmp_path, capsys):
         main(["construct", "--family", "bose-chowla-10", "--q", "4", "--t", "2",
               "--out-dir", str(tmp_path), "--prefix", "bc"])
@@ -222,6 +234,57 @@ class TestExitCodes:
         assert main(["--limits", '{"enumeration": 5}', *argv]) == 2
         assert "exceeds limit 5" in capsys.readouterr().err
         assert main(argv) == 0
+
+
+P61 = 2**61 - 1  # a prime: trial division to its square root runs for minutes
+
+
+class TestHugeInputs:
+    """A value past the limit it is used under exits 2 at once, naming that
+    limit, before a prime is tested by trial division and before a power
+    too long to print is computed or formatted."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["construct", "--family", "bch-lattice", "--p", str(P61), "--m", "1", "--d", "3",
+          "--kplus", "1", "--kminus", "1"], f"field_size workload {P61} exceeds"),
+        (["construct", "--family", "bose-chowla-10", "--q", str(P61), "--t", "2"],
+         f"field_size workload {P61**2} exceeds"),
+        (["construct", "--family", "covering-product", "--p", str(P61), "--m", "1", "--t", "1",
+          "--kplus", str(P61 - 1), "--kminus", "0"], f"group_order workload {P61} exceeds"),
+        (["construct", "--family", "behrend-ruzsa", "--kplus", "1", "--kminus", "0", "--D", "2",
+          "--K", "1", "--p", str(P61)], f"group_order workload {4 * P61**2} exceeds"),
+        (["decode", "--context", "p61.decoder.json", "--in", "in.jsonl"],
+         f"field_size workload {P61} exceeds"),
+        (["construct", "--family", "bose-chowla-10", "--q", "3", "--t", "100000"],
+         "field_size workload 3^100000 exceeds limit 1048576"),
+        (["construct", "--family", "covering-product", "--p", "2", "--m", "20000", "--t", "1",
+          "--kplus", "1", "--kminus", "0"], "group_order workload 2^20000 exceeds limit 16777216"),
+        (["construct", "--family", "bch-lattice", "--p", "3", "--m", "10000000", "--d", "5",
+          "--kplus", "1", "--kminus", "1"], "field_size workload 3^10000000 exceeds limit 1048576"),
+        (["construct", "--family", "covering-product", "--p", "2", "--m", "2", "--t", "1000000000",
+          "--kplus", "1", "--kminus", "0"], "group_order workload 4^1000000000 exceeds limit 16777216"),
+        (["construct", "--family", "behrend-ruzsa", "--kplus", "1", "--kminus", "0", "--D", "100000",
+          "--K", "1", "--p", "17"], "(alpha K + 1)^D = 4^100000 exceeds p = 17"),
+    ], ids=["bch-p", "bc10-q", "covering-p", "behrend-p", "decode-p", "bc10-t", "covering-m", "bch-m",
+            "covering-t", "behrend-D"])
+    def test_exit_2_within_a_second(self, tmp_path, argv, message):
+        context = {"type": "s2", "q": 3, "t": 2, "N": 13,
+                   "field": {"p": P61, "m": 1, "modulus": [1, 1]},
+                   "alphas": [[0]], "svals": [1], "betas": [[1]]}
+        (tmp_path / "p61.decoder.json").write_text(json.dumps(context))
+        (tmp_path / "in.jsonl").write_text("[1,0,0,0]\n")
+        started = time.perf_counter()
+        proc = run_cli(argv, cwd=str(tmp_path), timeout=30)
+        assert time.perf_counter() - started < 1
+        assert proc.returncode == 2 and message in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    def test_a_workload_too_long_to_print_is_named_by_its_bits(self):
+        with pytest.raises(ResourceLimitError,
+                           match="^enumeration workload of 16610 bits exceeds limit 1000000$"):
+            check("enumeration", 10**5000)
+        with pytest.raises(ResourceLimitError, match="^enumeration workload 1000001 exceeds"):
+            check("enumeration", 10**6 + 1)
 
 
 class TestDecodeCli:
@@ -555,10 +618,9 @@ class TestMalformedInput:
               "--variant", "s2", "--out-dir", str(tmp_path), "--prefix", "bc"])
         context = tmp_path / "bc.decoder.json"
         data = json.loads(context.read_text())
-        field = FieldSpec.from_json(data["field"])
-        beta_log = field.tables()[1][field.pack(data["betas"][0])]
+        ref = TupleField(FieldSpec.from_json(data["field"]))
         data["svals"][0] += 1
-        data["betas"][0] = list(field.power_of_gen(beta_log - 1))
+        data["betas"][0] = list(ref.mul(tuple(data["betas"][0]), ref.inv(ref.gen)))
         context.write_text(json.dumps(data))
         vectors = tmp_path / "in.jsonl"
         vectors.write_text("[1,0,0,0]\n")

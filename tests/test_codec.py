@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import magball.algebra
+import magball.codec
 from magball import (
     BallSpec,
     DomainError,
@@ -232,11 +233,15 @@ class TestS2AgainstTuples:
     @pytest.mark.parametrize("t", [2, 3])
     def test_a_loaded_context_decodes_without_the_field_tables(self, q, t, monkeypatch):
         data = bose_chowla_s2(q, t)
+        tables = magball.algebra._subfield_tables
 
-        def refused(field):
-            raise AssertionError(f"the tables of F_{field.p}^{field.m} were built")
+        def subfield_only(field, size):
+            if size == field.size:
+                raise AssertionError(f"the tables of F_{field.p}^{field.m} were built")
+            return tables(field, size)
 
-        monkeypatch.setattr(magball.algebra, "_field_tables", refused)
+        for module in (magball.algebra, magball.codec):
+            monkeypatch.setattr(module, "_subfield_tables", subfield_only)
         ctx = S2DecoderContext.from_json(S2DecoderContext.from_s2(data).to_json())
         _assert_decodes_as_the_tuple_decoder(ctx, data)
 

@@ -43,6 +43,7 @@ from magball import (
     verify_packing_geometric,
 )
 import magball.algebra
+import magball.codec
 from magball import constructions
 from magball.algebra import (
     _subfield_tables,
@@ -54,6 +55,7 @@ from magball.algebra import (
 from magball.cli import main
 from magball.constructions import (
     LinearCode,
+    _generator_from_roots,
     _draw_bound,
     _floor_ln,
     _sidon_blocked,
@@ -66,6 +68,7 @@ from references import (
     TupleField,
     bch_check_polynomial_by_division,
     code_lattice_by_hnf,
+    generator_from_roots_by_tuples,
     search_bt_set_by_recheck,
     search_bt_set_unpruned,
     search_kfold_sidon_by_recheck,
@@ -177,10 +180,15 @@ class TestBoseChowlaLogs:
             _x_plus_subfield_logs(field, q)
 
     def test_constructs_build_no_field_tables(self, tmp_path, monkeypatch):
-        def refused(field):
-            raise AssertionError(f"the tables of F_{field.p}^{field.m} were built")
+        tables = magball.algebra._subfield_tables
 
-        monkeypatch.setattr(magball.algebra, "_field_tables", refused)
+        def subfield_only(field, size):
+            if size == field.size:
+                raise AssertionError(f"the tables of F_{field.p}^{field.m} were built")
+            return tables(field, size)
+
+        for module in (magball.algebra, magball.codec):
+            monkeypatch.setattr(module, "_subfield_tables", subfield_only)
         s1, s2 = bose_chowla_s1(256, 2), bose_chowla_s2(16, 3)
         assert (s1.N, len(s1.elements), s2.N, len(s2.bt.elements)) == (65535, 256, 4369, 17)
         pins = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))["jobs"]
@@ -196,6 +204,29 @@ class TestBoseChowlaLogs:
         assert main(["construct", "--family", "bose-chowla-10", "--q", "1024", "--t", "2",
                      "--variant", "s2", "--out-dir", str(tmp_path)]) == 2
         assert "field_size" in capsys.readouterr().err
+
+
+# The search certifies a field's modulus and the field's tables ask again:
+# the order test is cached, so each modulus it meets runs it once.
+@pytest.mark.parametrize("flags", [
+    ["bose-chowla-10", "--q", "4", "--t", "3"],
+    ["bose-chowla-10", "--q", "4", "--t", "2", "--variant", "s2"],
+    ["bch-lattice", "--p", "3", "--m", "2", "--d", "5", "--kplus", "1", "--kminus", "1"],
+])
+def test_construct_runs_the_order_test_once_per_modulus(flags, tmp_path, monkeypatch):
+    order_test = magball.algebra._is_primitive
+    asked = []
+
+    def counted(p, modulus):
+        asked.append((p, modulus))
+        return order_test(p, modulus)
+
+    for cached in (order_test, find_primitive_polynomial, _subfield_tables):
+        cached.cache_clear()
+    monkeypatch.setattr(magball.algebra, "_is_primitive", counted)
+    assert main(["construct", "--family", *flags, "--out-dir", str(tmp_path)]) == 0
+    assert len(asked) > len(set(asked))  # the field's own modulus, asked twice
+    assert order_test.cache_info().misses == len(set(asked))
 
 
 class TestBtSplitters:
@@ -612,6 +643,38 @@ class TestBehrend:
         assert check_partial_split(s).verified
 
 
+BCH_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+              for m in range(1, 11) if p**m <= 1024]
+
+
+class _Asked(Exception):
+    """Stops ``bch_code`` once it asks for ``h``."""
+
+
+def _bch_root_sets(p: int, m: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The root exponents of ``g`` and of ``h`` that ``bch_code(p, m, d)``
+    passes to ``_generator_from_roots``, or none where its code has no
+    information symbols.  Only the degree of ``g`` is read before ``h`` is
+    asked for, so ``g`` is not multiplied out here."""
+    asked = []
+
+    def record(field, exponents):
+        asked.append(tuple(exponents))
+        if len(asked) == 2:
+            raise _Asked
+        return (1,) * (len(asked[0]) + 1)
+
+    with mock.patch.object(constructions, "_generator_from_roots", record):
+        try:
+            bch_code(p, m, d)
+        except _Asked:
+            return tuple(asked)
+        except DomainError as exc:
+            assert "no information symbols" in str(exc)
+            return ()
+    raise AssertionError("bch_code never asked for h")
+
+
 class TestBch:
     def test_ternary_instance(self):
         code = bch_code(3, 2, 5)
@@ -656,6 +719,24 @@ class TestBch:
         assert code.parity_check == tuple(
             tuple(([0] * i + h[::-1] + [0] * code.n)[:code.n]) for i in range(code.n - code.k)
         )
+
+    # Every field of size at most 1024 whose p has its square under 1024 too,
+    # and d <= 9: 264 (p, m, d), of which (3, 2, 6) and (3, 2, 7) have no
+    # information symbols.  The prime fields past F_31 only repeat m = 1, at
+    # n^2/2 Zech steps per check polynomial (minutes for all of them); the
+    # sweep takes about 5 s, nearly all in the package's own h products.
+    @pytest.mark.filterwarnings("ignore:BCH")
+    @pytest.mark.parametrize("p,m", BCH_FIELDS)
+    def test_g_and_h_match_the_tuple_product(self, p, m):
+        field = find_primitive_polynomial(p, m)
+        root_sets = {roots for d in range(2, min(9, field.size - 1) + 1)
+                     for roots in _bch_root_sets(p, m, d)}
+        for roots in root_sets:
+            assert _generator_from_roots(field, roots) == generator_from_roots_by_tuples(field, roots)
+
+    def test_sweep_covers_every_small_field(self):
+        assert len(BCH_FIELDS) == 37 and {(2, 10), (3, 6), (31, 1), (31, 2)} <= set(BCH_FIELDS)
+        assert sum(max(0, min(9, p**m - 1) - 1) for p, m in BCH_FIELDS) == 264
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
